@@ -40,7 +40,7 @@ from repro.annealer.compile import (
     segment_sum,
 )
 from repro.annealer.schedule import AnnealingSchedule, default_schedule_for
-from repro.annealer.simulated_annealing import _metropolis_flips
+from repro.annealer.simulated_annealing import class_buffers, metropolis_update
 from repro.exceptions import DeviceError
 from repro.qubo.model import QUBOModel
 from repro.utils.rng import SeedLike, ensure_rng
@@ -68,9 +68,17 @@ class BlockResult:
 
 @dataclass(frozen=True)
 class _FusedClass:
-    """One fused colour class: concatenated gather plans plus block ids."""
+    """One fused colour class: concatenated gather plans plus block ids.
+
+    ``members`` are block-major variable ids (block offset + position in
+    the block).  The fused state tensor itself is laid out class-major:
+    the class occupies the contiguous tensor ``rows``, so a sweep updates
+    it in place through a view, and ``neighbor_cols`` / ``matrix``
+    address tensor rows.
+    """
 
     members: np.ndarray
+    rows: slice
     linear: np.ndarray
     neighbor_cols: np.ndarray
     neighbor_data: np.ndarray
@@ -141,37 +149,36 @@ class BatchedAnnealer:
         total_n = int(offsets[-1])
         betas = self._beta_table(compiled)
 
-        states_t = np.ascontiguousarray(
-            rng.integers(0, 2, size=(num_reads, total_n)).astype(float).T
-        )
-        fused_classes = self._fuse_classes(compiled, offsets)
-        beta_columns = [
-            fused.member_blocks[:, None] for fused in fused_classes
-        ]
-        metropolis_buffers = [
-            tuple(np.empty((fused.members.size, num_reads)) for _ in range(2))
-            + tuple(np.empty((fused.members.size, num_reads), dtype=bool) for _ in range(2))
-            for fused in fused_classes
-        ]
+        initial = rng.integers(0, 2, size=(num_reads, total_n)).astype(float)
+        fused_classes, position = self._fuse_classes(compiled, offsets)
+        states = np.empty((total_n, num_reads))
+        states[position] = initial.T
+        beta_columns = [fused.member_blocks[:, None] for fused in fused_classes]
+        buffers = [class_buffers(fused.members.size, num_reads) for fused in fused_classes]
 
         for sweep in range(self.num_sweeps):
             beta_row = betas[sweep]
-            for fused, blocks_column, buffers in zip(
-                fused_classes, beta_columns, metropolis_buffers
+            for fused, blocks_column, (uniforms, probability, flips) in zip(
+                fused_classes, beta_columns, buffers
             ):
-                local_field = self._local_field(states_t, fused)
-                current = states_t[fused.members]
-                delta = (1.0 - 2.0 * current) * local_field
-                flips = _metropolis_flips(
-                    delta, beta_row[blocks_column], rng, buffers=buffers
+                field = self._local_field(states, fused)
+                rng.random(out=uniforms)
+                metropolis_update(
+                    states[fused.rows], field, beta_row[blocks_column], uniforms, probability, flips
                 )
-                states_t[fused.members] = np.where(flips, 1.0 - current, current)
 
-        block_states = [
-            np.ascontiguousarray(states_t[int(offsets[b]) : int(offsets[b + 1])].T)
-            for b in range(len(compiled))
+        return self._split_blocks(states, position, offsets, num_reads), compiled
+
+    @staticmethod
+    def _split_blocks(
+        states: np.ndarray, position: np.ndarray, offsets: np.ndarray, num_reads: int
+    ) -> List[np.ndarray]:
+        """Per-block ``(num_reads, n_b)`` matrices of a class-major tensor."""
+        ordered = states[position, :num_reads]
+        return [
+            np.ascontiguousarray(ordered[int(offsets[b]) : int(offsets[b + 1])].T)
+            for b in range(len(offsets) - 1)
         ]
-        return block_states, compiled
 
     def sample_blocks(
         self,
@@ -223,38 +230,47 @@ class BatchedAnnealer:
 
     @staticmethod
     def _fuse_classes(
-        compiled: Sequence[CompiledQUBO], offsets: np.ndarray
-    ) -> List[_FusedClass]:
-        """Merge colour class ``k`` of every block into one fused class."""
+        compiled: Sequence[CompiledQUBO],
+        offsets: np.ndarray,
+        position: np.ndarray | None = None,
+    ) -> Tuple[List[_FusedClass], np.ndarray]:
+        """Merge colour class ``k`` of every block into one fused class.
+
+        Returns the fused classes and ``position``, the tensor row of
+        every block-major variable id.  By default the layout is derived
+        here: class-major, blocks in order within a class.  A caller
+        fusing a subset of blocks passes the layout of the full set; the
+        subset's classes must then be prefixes of the full classes (the
+        fusion window orders its blocks so that they are).
+        """
         try:
             from scipy.sparse import csr_matrix
         except ImportError:  # pragma: no cover - scipy is a standard dependency
             csr_matrix = None
         total_n = int(offsets[-1])
         num_classes = max(block.num_classes for block in compiled)
+        in_class = [
+            [
+                (block_id, block, block.structure.classes[k])
+                for block_id, block in enumerate(compiled)
+                if k < block.num_classes
+            ]
+            for k in range(num_classes)
+        ]
+        members_of = [
+            np.concatenate([plan.members + offsets[block_id] for block_id, _, plan in entries])
+            for entries in in_class
+        ]
+        if position is None:
+            position = np.empty(total_n, dtype=np.int64)
+            position[np.concatenate(members_of)] = np.arange(total_n)
         fused: List[_FusedClass] = []
-        for k in range(num_classes):
-            members_parts: List[np.ndarray] = []
-            linear_parts: List[np.ndarray] = []
-            cols_parts: List[np.ndarray] = []
-            data_parts: List[np.ndarray] = []
-            lengths_parts: List[np.ndarray] = []
-            block_parts: List[np.ndarray] = []
-            for block_id, block in enumerate(compiled):
-                if k >= block.num_classes:
-                    continue
-                plan = block.structure.classes[k]
-                offset = int(offsets[block_id])
-                members_parts.append(plan.members + offset)
-                linear_parts.append(block.linear[plan.members])
-                cols_parts.append(plan.neighbor_cols + offset)
-                data_parts.append(block.class_neighbor_data[k])
-                lengths_parts.append(plan.segment_lengths)
-                block_parts.append(np.full(plan.members.size, block_id, dtype=np.int64))
-            members = np.concatenate(members_parts)
-            neighbor_cols = np.concatenate(cols_parts)
-            neighbor_data = np.concatenate(data_parts)
-            lengths = np.concatenate(lengths_parts)
+        for k, (entries, members) in enumerate(zip(in_class, members_of)):
+            neighbor_cols = position[
+                np.concatenate([plan.neighbor_cols + offsets[b] for b, _, plan in entries])
+            ]
+            neighbor_data = np.concatenate([block.class_neighbor_data[k] for _, block, _ in entries])
+            lengths = np.concatenate([plan.segment_lengths for _, _, plan in entries])
             raw_starts = np.cumsum(lengths) - lengths
             total_nnz = int(neighbor_cols.size)
             reduce_starts = raw_starts[raw_starts < total_nnz].astype(np.int64)
@@ -268,26 +284,32 @@ class BatchedAnnealer:
                         shape=(members.size, total_n),
                     )
                 )
+            first_row = int(position[members[0]])
             fused.append(
                 _FusedClass(
                     members=members,
-                    linear=np.concatenate(linear_parts),
+                    rows=slice(first_row, first_row + members.size),
+                    linear=np.concatenate(
+                        [block.linear[plan.members] for _, block, plan in entries]
+                    ),
                     neighbor_cols=neighbor_cols,
                     neighbor_data=neighbor_data,
                     reduce_starts=reduce_starts,
                     empty_members=empty if bool(empty.any()) else None,
-                    member_blocks=np.concatenate(block_parts),
+                    member_blocks=np.concatenate(
+                        [np.full(plan.members.size, b, dtype=np.int64) for b, _, plan in entries]
+                    ),
                     matrix=matrix,
                 )
             )
-        return fused
+        return fused, position
 
     # ------------------------------------------------------------------ #
     # Fused sweep pieces
     # ------------------------------------------------------------------ #
     @staticmethod
     def _local_field(states_t: np.ndarray, fused: _FusedClass) -> np.ndarray:
-        """Local field of a fused class on the ``(total_n, reads)`` layout."""
+        """Local field of a fused class on the class-major ``(total_n, reads)`` tensor."""
         base = fused.linear[:, None]
         if fused.neighbor_cols.size == 0:
             return np.broadcast_to(base, (base.shape[0], states_t.shape[1])).copy()

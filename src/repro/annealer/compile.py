@@ -28,6 +28,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,6 +80,8 @@ __all__ = [
     "CompiledQUBO",
     "CompileCache",
     "compile_qubo",
+    "compile_structure",
+    "compile_weights",
     "default_compile_cache",
     "greedy_coloring",
     "segment_sum",
@@ -229,10 +232,12 @@ class CompiledQUBO:
     weight-dependent arrays: linear fields, per-edge weights, the
     symmetric CSR data and, pre-gathered per colour class, the
     neighbour weights each sweep multiplies against.  When scipy is
-    available, :attr:`class_matrices` additionally holds one
-    ``(len(class), n)`` CSR matrix per colour class (built from the
-    plan's ``indptr``/``neighbor_cols`` and the gathered data) whose
-    matvec against the state matrix is the fastest local-field kernel.
+    available, :attr:`class_matrices` additionally offers one
+    ``(len(class), n)`` CSR matrix per colour class (built on first use
+    from the plan's ``indptr``/``neighbor_cols`` and the gathered data)
+    whose matvec against the state matrix is the fastest local-field
+    kernel.  The fused drivers build their own matrices, so the device's
+    gauge batches never pay for these.
     """
 
     structure: CompiledStructure
@@ -242,7 +247,17 @@ class CompiledQUBO:
     class_neighbor_data: List[np.ndarray]
     offset: float
     max_abs_weight: float
-    class_matrices: Optional[List[Any]] = None
+
+    @cached_property
+    def class_matrices(self) -> Optional[List[Any]]:
+        """Per-class CSR coupling matrices, or ``None`` without scipy."""
+        if _csr_matrix is None:
+            return None
+        n = self.num_variables
+        return [
+            _csr_matrix((data, plan.neighbor_cols, plan.indptr), shape=(plan.members.size, n))
+            for plan, data in zip(self.structure.classes, self.class_neighbor_data)
+        ]
 
     @property
     def variables(self) -> List[Variable]:
@@ -288,12 +303,25 @@ class CompiledQUBO:
         return base + contribution.T
 
     def energies(self, states: np.ndarray) -> np.ndarray:
-        """Vectorised energies of a ``(num_reads, n)`` 0/1 state matrix."""
-        total = states @ self.linear + self.offset
-        if self.edge_weights.size:
-            edges = self.structure.edges
-            total = total + (states[:, edges[:, 0]] * states[:, edges[:, 1]]) @ self.edge_weights
-        return total
+        """Energies of a ``(num_reads, n)`` 0/1 state matrix, in one batch.
+
+        Every read's energy is the offset plus its active terms added one
+        at a time in model order — linear terms by variable, then
+        couplings by edge — exactly as :meth:`QUBOModel.energy
+        <repro.qubo.model.QUBOModel.energy>` adds them, so the results
+        agree bit for bit (a BLAS product would reassociate the sum).
+        """
+        # Terms as rows, reads as columns: the gathers are row gathers and
+        # the running sum adds whole rows, one term after the other.
+        states_t = np.asarray(states, dtype=np.float64).T
+        edges = self.structure.edges
+        n = self.num_variables
+        terms = np.empty((1 + n + len(edges), states_t.shape[1]))
+        terms[0] = self.offset
+        np.multiply(states_t, self.linear[:, None], out=terms[1 : n + 1])
+        np.multiply(states_t[edges[:, 0]], states_t[edges[:, 1]], out=terms[n + 1 :])
+        terms[n + 1 :] *= self.edge_weights[:, None]
+        return np.cumsum(terms, axis=0, out=terms)[-1].copy()
 
     def dense_coupling(self) -> np.ndarray:
         """Symmetric dense coupling matrix (the pre-sparse representation).
@@ -473,25 +501,36 @@ def structure_key(variables: Sequence[Variable], edges: np.ndarray) -> Tuple:
     return (tuple(variables), edges.tobytes())
 
 
-def compile_qubo(qubo: QUBOModel, cache: CompileCache | None = None) -> CompiledQUBO:
-    """Compile ``qubo`` into the flat-array form used by the samplers.
+def compile_structure(
+    variables: Sequence[Variable], edges: np.ndarray, cache: CompileCache | None = None
+) -> CompiledStructure:
+    """The weight-independent compilation of a sparsity pattern.
 
-    When ``cache`` is given, the weight-independent structure (colouring
-    and gather plans) is looked up by sparsity pattern and only the
-    weight arrays are rebuilt — an ``O(nnz)`` refresh instead of a full
-    recompilation.  Weights themselves are never cached because gauge
-    transforms and noise perturb them on every device programming.
+    Looked up in ``cache`` by :func:`structure_key` when one is given,
+    built (and inserted) otherwise.
     """
-    variables, linear, edges, weights = qubo.to_arrays()
-    structure: CompiledStructure | None = None
-    if cache is not None:
-        key = structure_key(variables, edges)
-        structure = cache.get(key)
+    if cache is None:
+        return _build_structure(variables, edges)
+    key = structure_key(variables, edges)
+    structure = cache.get(key)
     if structure is None:
         structure = _build_structure(variables, edges)
-        if cache is not None:
-            cache.put(key, structure)
+        cache.put(key, structure)
+    return structure
 
+
+def compile_weights(
+    structure: CompiledStructure,
+    linear: np.ndarray,
+    weights: np.ndarray,
+    offset: float = 0.0,
+) -> CompiledQUBO:
+    """Pair ``structure`` with one set of weights (an ``O(nnz)`` refresh).
+
+    ``linear`` holds one weight per variable and ``weights`` one per
+    edge of the structure, in the structure's orders.  The device's
+    gauge batches all share one structure and differ only here.
+    """
     if weights.size:
         sym_data = np.concatenate([weights, weights])[structure.sym_perm]
         max_abs = max(
@@ -501,23 +540,32 @@ def compile_qubo(qubo: QUBOModel, cache: CompileCache | None = None) -> Compiled
     else:
         sym_data = np.empty(0)
         max_abs = float(np.max(np.abs(linear))) if linear.size else 0.0
-    class_neighbor_data = [sym_data[plan.data_slots] for plan in structure.classes]
-    class_matrices: Optional[List[Any]] = None
-    if _csr_matrix is not None:
-        n = len(variables)
-        class_matrices = [
-            _csr_matrix(
-                (data, plan.neighbor_cols, plan.indptr), shape=(plan.members.size, n)
-            )
-            for plan, data in zip(structure.classes, class_neighbor_data)
-        ]
     return CompiledQUBO(
         structure=structure,
         linear=linear,
         edge_weights=weights,
         sym_data=sym_data,
-        class_neighbor_data=class_neighbor_data,
-        offset=float(qubo.offset),
+        class_neighbor_data=[sym_data[plan.data_slots] for plan in structure.classes],
+        offset=float(offset),
         max_abs_weight=max_abs,
-        class_matrices=class_matrices,
     )
+
+
+def compile_qubo(
+    qubo: QUBOModel | CompiledQUBO, cache: CompileCache | None = None
+) -> CompiledQUBO:
+    """Compile ``qubo`` into the flat-array form used by the samplers.
+
+    When ``cache`` is given, the weight-independent structure (colouring
+    and gather plans) is looked up by sparsity pattern and only the
+    weight arrays are rebuilt — an ``O(nnz)`` refresh instead of a full
+    recompilation.  Weights themselves are never cached because gauge
+    transforms and noise perturb them on every device programming.  An
+    already compiled model (the device's programmed gauge batches) is
+    returned unchanged.
+    """
+    if isinstance(qubo, CompiledQUBO):
+        return qubo
+    variables, linear, edges, weights = qubo.to_arrays()
+    structure = compile_structure(variables, edges, cache)
+    return compile_weights(structure, linear, weights, qubo.offset)

@@ -19,22 +19,24 @@ substitution preserves the experiments' structure.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Dict, Hashable, List
+from typing import List
 
 import numpy as np
 
 from repro.annealer.batched import BatchedAnnealer
-from repro.annealer.gauge import GaugeTransform, random_gauge
+from repro.annealer.compile import CompiledQUBO, compile_structure, compile_weights
+from repro.annealer.gauge import apply_gauge, random_gauge, undo_gauge
 from repro.annealer.noise import NoiseModel
-from repro.annealer.sampleset import Sample, SampleSet
+from repro.annealer.sampleset import SampleSet
 from repro.annealer.schedule import AnnealingSchedule
 from repro.annealer.simulated_annealing import SimulatedAnnealingSampler
 from repro.chimera.hardware import DWAVE_2X, DWaveSpec
 from repro.chimera.topology import ChimeraGraph
 from repro.exceptions import DeviceCapacityError, DeviceError
 from repro.obs.metrics import get_registry
-from repro.qubo.ising import ising_to_qubo, qubo_to_ising
+from repro.qubo.ising import ising_arrays_to_qubo, qubo_arrays_to_ising
 from repro.qubo.model import QUBOModel
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -47,8 +49,6 @@ _GAUGES_TOTAL = get_registry().counter(
 )
 
 __all__ = ["DWaveSamplerSimulator", "ProgrammedAnneal"]
-
-Variable = Hashable
 
 
 @dataclass
@@ -64,11 +64,16 @@ class ProgrammedAnneal:
 
     Attributes
     ----------
-    qubo:
-        The original (noiseless) physical QUBO energies are read under.
-    gauges / programmed_qubos:
-        Per gauge batch: the gauge transform and the programmed
-        (gauged, noise-perturbed) QUBO handed to the annealer.
+    source:
+        The original (noiseless) physical QUBO, compiled; read-out
+        energies are evaluated under it.
+    gauges:
+        ``(num_gauges, n)`` +/-1 factors, one row per gauge batch, over
+        the variable order of :attr:`source`.
+    blocks:
+        Per gauge batch, the programmed (gauged, noise-perturbed) QUBO
+        handed to the annealer.  All blocks share :attr:`source`'s
+        compiled structure.
     batch_sizes:
         Reads of each gauge batch (sums to ``num_reads``).
     num_reads:
@@ -78,9 +83,9 @@ class ProgrammedAnneal:
         the annealing stage continues it.
     """
 
-    qubo: QUBOModel
-    gauges: List[GaugeTransform]
-    programmed_qubos: List[QUBOModel]
+    source: CompiledQUBO
+    gauges: np.ndarray
+    blocks: List[CompiledQUBO]
     batch_sizes: List[int]
     num_reads: int
     rng: np.random.Generator
@@ -137,7 +142,10 @@ class DWaveSamplerSimulator:
         self.batched_sampler = BatchedAnnealer(num_sweeps=num_sweeps, schedule=schedule)
         self.batch_gauges = batch_gauges
         self.programming_time_ms = programming_time_ms
-        self._static_bias = self.noise.static_bias(self.topology.qubits, seed=self._rng)
+        bias = self.noise.static_bias(self.topology.qubits, seed=self._rng)
+        #: Static bias indexed by qubit label (0 at unused labels).
+        self._static_bias = np.zeros(max(bias, default=-1) + 1)
+        self._static_bias[list(bias)] = list(bias.values())
 
     # ------------------------------------------------------------------ #
     # Device properties
@@ -167,12 +175,18 @@ class DWaveSamplerSimulator:
         Raises
         ------
         DeviceCapacityError
-            If a variable is not a functional qubit of the topology.
+            If a variable is not a functional qubit of the topology.  Any
+            integer label counts (numpy integers included); ``bool`` does
+            not, although it is an ``int`` subclass.
         DeviceError
             If a quadratic term connects qubits without a physical coupler.
         """
         for var in qubo.variables:
-            if not isinstance(var, (int,)) or not self.topology.has_qubit(var):
+            if (
+                not isinstance(var, numbers.Integral)
+                or isinstance(var, bool)
+                or not self.topology.has_qubit(var)
+            ):
                 raise DeviceCapacityError(
                     f"variable {var!r} is not a functional qubit of the device topology"
                 )
@@ -240,113 +254,87 @@ class DWaveSamplerSimulator:
         self.validate_problem(qubo)
 
         rng = ensure_rng(seed) if seed is not None else self._rng
-        variables = qubo.variables
-        ising = qubo_to_ising(qubo)
-        scale = ising.max_abs_weight()
+        variables, linear, edges, weights = qubo.to_arrays()
+        structure = compile_structure(variables, edges, self.batched_sampler.compile_cache)
+        h, j, ising_offset = qubo_arrays_to_ising(linear, edges, weights, qubo.offset)
+        scale = float(max(np.abs(h).max(initial=0.0), np.abs(j).max(initial=0.0)))
+        bias = self._static_bias[np.asarray(variables, dtype=np.int64)]
 
         batch_sizes = self._batch_sizes(num_reads, num_gauges)
-        gauges: List[GaugeTransform] = []
-        programmed_qubos: List[QUBOModel] = []
+        gauges: List[np.ndarray] = []
+        blocks: List[CompiledQUBO] = []
         for _ in batch_sizes:
-            gauge = random_gauge(variables, seed=rng)
-            gauged = gauge.apply_to_ising(ising)
-            noisy = self.noise.perturb_ising(gauged, self._static_bias, scale, seed=rng)
-            gauges.append(gauge)
-            programmed_qubos.append(ising_to_qubo(noisy))
+            factors = random_gauge(len(variables), seed=rng)
+            gauged_h, gauged_j = apply_gauge(h, j, edges, factors)
+            noisy_h, noisy_j = self.noise.perturb(gauged_h, gauged_j, bias, scale, seed=rng)
+            programmed = ising_arrays_to_qubo(noisy_h, noisy_j, edges, ising_offset)
+            gauges.append(factors)
+            blocks.append(compile_weights(structure, *programmed))
         return ProgrammedAnneal(
-            qubo=qubo,
-            gauges=gauges,
-            programmed_qubos=programmed_qubos,
+            source=compile_weights(structure, linear, weights, qubo.offset),
+            gauges=np.array(gauges).reshape(len(batch_sizes), len(variables)),
+            blocks=blocks,
             batch_sizes=batch_sizes,
             num_reads=num_reads,
             rng=rng,
         )
 
-    def anneal_programmed(
-        self, programmed: ProgrammedAnneal
-    ) -> List[List[Dict[Variable, int]]]:
-        """Anneal a programmed request, returning per-batch assignments.
+    def anneal_programmed(self, programmed: ProgrammedAnneal) -> List[np.ndarray]:
+        """Anneal a programmed request, returning per-batch state matrices.
 
-        Fused in one block-diagonal problem when gauge batching is on,
+        Batch ``b``'s matrix holds (at least) ``batch_sizes[b]`` reads in
+        its leading rows, over the variable order of
+        :attr:`ProgrammedAnneal.source`.  The batches are fused into one
+        block-diagonal problem when gauge batching is on, and annealed
         sequentially otherwise.
         """
         batch_sizes = programmed.batch_sizes
         rng = programmed.rng
         if self.batch_gauges and len(batch_sizes) > 1:
             # Fused blocks share one read count; anneal the maximum and let
-            # each batch keep only its first batch_size reads.  The raw
-            # state matrices are consumed directly — energies are evaluated
-            # during assembly on the noiseless problem anyway.
-            block_states, block_compiled = self.batched_sampler.sample_block_states(
-                programmed.programmed_qubos, num_reads=max(batch_sizes), seed=rng
+            # each batch keep only its first batch_size reads.
+            block_states, _compiled = self.batched_sampler.sample_block_states(
+                programmed.blocks, num_reads=max(batch_sizes), seed=rng
             )
-            return self.batch_assignments(block_states, block_compiled, batch_sizes)
+            return block_states
         return [
-            self.sampler.sample(programmed_qubo, num_reads=batch_size, seed=rng)[0]
-            for programmed_qubo, batch_size in zip(programmed.programmed_qubos, batch_sizes)
-        ]
-
-    @staticmethod
-    def batch_assignments(
-        block_states: List[np.ndarray],
-        block_compiled: List[object],
-        batch_sizes: List[int],
-    ) -> List[List[Dict[Variable, int]]]:
-        """Per-batch assignment dicts from raw block state matrices.
-
-        Shared by the solo batched path and the cross-request fusion
-        path so both decode fused states identically (each batch keeps
-        only its first ``batch_size`` reads).
-        """
-        return [
-            [
-                {var: int(states[r, i]) for i, var in enumerate(block.variables)}
-                for r in range(batch_size)
-            ]
-            for states, block, batch_size in zip(block_states, block_compiled, batch_sizes)
+            self.sampler.sample_states(block, num_reads=batch_size, seed=rng)[0]
+            for block, batch_size in zip(programmed.blocks, batch_sizes)
         ]
 
     def assemble_samples(
-        self,
-        programmed: ProgrammedAnneal,
-        per_batch_assignments: List[List[Dict[Variable, int]]],
+        self, programmed: ProgrammedAnneal, block_states: List[np.ndarray]
     ) -> SampleSet:
         """Undo the gauges and account the reads into a :class:`SampleSet`.
 
-        Energies are evaluated under the original (noiseless) QUBO;
+        ``block_states`` are the per-batch state matrices of
+        :meth:`anneal_programmed` (or of a fusion window); each batch
+        keeps its first ``batch_size`` rows.  Un-gauging is one XOR of
+        the stacked states with the per-read gauge masks, and energies
+        are one batched evaluation under the original (noiseless) QUBO
+        (see :meth:`CompiledQUBO.energies`);
         device time follows the spec's per-read constant regardless of
         how long the simulation took on the host.
         """
-        qubo = programmed.qubo
-        samples: List[Sample] = []
-        read_index = 0
-        for gauge_index, (gauge, assignments) in enumerate(
-            zip(programmed.gauges, per_batch_assignments)
-        ):
-            for assignment in assignments:
-                original = gauge.apply_to_binary(assignment)
-                energy = qubo.energy(original)
-                samples.append(
-                    Sample(
-                        assignment=original,
-                        energy=energy,
-                        read_index=read_index,
-                        gauge_index=gauge_index,
-                    )
-                )
-                read_index += 1
-
+        sizes = programmed.batch_sizes
+        gauged = np.concatenate(
+            [states[:size] for states, size in zip(block_states, sizes)], axis=0
+        )
+        states = undo_gauge(gauged, np.repeat(programmed.gauges, sizes, axis=0))
         _READS_TOTAL.inc(programmed.num_reads)
-        _GAUGES_TOTAL.inc(len(programmed.batch_sizes))
+        _GAUGES_TOTAL.inc(len(sizes))
         return SampleSet(
-            samples=samples,
+            states=states,
+            variables=programmed.source.variables,
+            energies=programmed.source.energies(states),
+            gauge_indices=np.repeat(np.arange(len(sizes)), sizes),
             per_read_time_ms=self.time_per_read_ms,
-            programming_time_ms=self.programming_time_ms * len(programmed.batch_sizes),
+            programming_time_ms=self.programming_time_ms * len(sizes),
             info={
                 "device": self.spec.name,
                 "num_reads": programmed.num_reads,
-                "num_gauges": len(programmed.batch_sizes),
-                "num_problem_qubits": len(qubo.variables),
+                "num_gauges": len(sizes),
+                "num_problem_qubits": programmed.source.num_variables,
             },
         )
 

@@ -53,6 +53,7 @@ import numpy as np
 from repro.annealer.batched import BatchedAnnealer, _FusedClass
 from repro.annealer.compile import CompileCache, CompiledQUBO, compile_qubo, default_compile_cache
 from repro.annealer.schedule import AnnealingSchedule, default_schedule_for
+from repro.annealer.simulated_annealing import metropolis_update
 from repro.exceptions import DeviceError
 from repro.qubo.model import QUBOModel
 from repro.utils.rng import SeedLike, ensure_rng
@@ -115,7 +116,6 @@ class _SegmentClass:
     sections: List[_DrawSection]
     uniforms: np.ndarray
     probability: np.ndarray
-    positive: np.ndarray
     flips: np.ndarray
 
 
@@ -176,12 +176,18 @@ class FusionWindow:
             [compile_qubo(qubo, cache=self.compile_cache) for qubo in group.qubos]
             for group in groups
         ]
+        # Blocks are laid out longest sweep horizon first (group order on
+        # ties): the blocks still active at any horizon are then a prefix,
+        # so every fused class keeps contiguous rows in the class-major
+        # tensor as jobs drop out.
         blocks: List[CompiledQUBO] = []
         block_group: List[int] = []
-        for group_index, compiled in enumerate(compiled_groups):
-            for block in compiled:
+        group_blocks: List[List[int]] = [[] for _ in groups]
+        for group_index in sorted(range(len(groups)), key=lambda g: -groups[g].num_sweeps):
+            for block in compiled_groups[group_index]:
                 if not block.num_variables:
                     raise DeviceError("cannot anneal an empty QUBO")
+                group_blocks[group_index].append(len(blocks))
                 blocks.append(block)
                 block_group.append(group_index)
 
@@ -192,56 +198,40 @@ class FusionWindow:
         reads_max = max(reads)
         sweeps = [group.num_sweeps for group in groups]
         betas = self._beta_table(groups, blocks, block_group, max(sweeps))
-        group_rows = self._group_rows(offsets, block_group, len(groups))
 
         # Initial states: one draw per group, with the exact shape of the
-        # group's solo draw; padding columns stay at their initial value
-        # and are discarded at scatter time.
-        states_t = np.zeros((total_n, reads_max))
+        # group's solo draw, placed block-major; padding columns stay at
+        # their initial value and are discarded at scatter time.
+        initial = np.zeros((total_n, reads_max))
         for group_index, rng in enumerate(rngs):
-            row0, row1 = group_rows[group_index]
-            initial = rng.integers(
-                0, 2, size=(reads[group_index], row1 - row0)
-            ).astype(float)
-            states_t[row0:row1, : reads[group_index]] = initial.T
+            ids = group_blocks[group_index]
+            row0, row1 = int(offsets[ids[0]]), int(offsets[ids[-1] + 1])
+            draw = rng.integers(0, 2, size=(reads[group_index], row1 - row0)).astype(float)
+            initial[row0:row1, : reads[group_index]] = draw.T
 
+        states = position = None
         sweep_start = 0
         for horizon in sorted(set(sweeps)):
-            segment = self._plan_segment(
+            segment, position = self._plan_segment(
                 sweep_start, horizon, blocks, block_group, offsets, total_n,
-                groups, rngs, reads, reads_max,
+                groups, rngs, reads, reads_max, position,
             )
+            if states is None:  # the first segment fuses every block
+                states = np.empty_like(initial)
+                states[position] = initial
             for sweep in range(segment.sweep_start, segment.sweep_end):
-                self._fused_sweep(states_t, segment, betas[sweep][segment.active_blocks])
+                self._fused_sweep(states, segment, betas[sweep][segment.active_blocks])
             sweep_start = horizon
 
-        results: List[Tuple[List[np.ndarray], List[CompiledQUBO]]] = []
-        block_index = 0
-        for group_index, compiled in enumerate(compiled_groups):
-            block_states = []
-            for _ in compiled:
-                lo, hi = int(offsets[block_index]), int(offsets[block_index + 1])
-                block_states.append(
-                    np.ascontiguousarray(states_t[lo:hi, : reads[group_index]].T)
-                )
-                block_index += 1
-            results.append((block_states, compiled))
-        return results
+        per_block = BatchedAnnealer._split_blocks(states, position, offsets, reads_max)
+        return [
+            ([per_block[b][: reads[group_index]] for b in group_blocks[group_index]], compiled)
+            for group_index, compiled in enumerate(compiled_groups)
+        ]
 
     # ------------------------------------------------------------------ #
     # Fused problem construction
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _group_rows(
-        offsets: np.ndarray, block_group: List[int], num_groups: int
-    ) -> List[Tuple[int, int]]:
-        """Row range ``[row0, row1)`` of each group in the fused tensor."""
-        rows: List[Tuple[int, int]] = []
-        for group_index in range(num_groups):
-            block_ids = [b for b, g in enumerate(block_group) if g == group_index]
-            rows.append((int(offsets[block_ids[0]]), int(offsets[block_ids[-1] + 1])))
-        return rows
-
     @staticmethod
     def _beta_table(
         groups: Sequence[FusionGroup],
@@ -287,13 +277,16 @@ class FusionWindow:
         rngs: Sequence[np.random.Generator],
         reads: Sequence[int],
         reads_max: int,
-    ) -> _Segment:
+        position: Optional[np.ndarray],
+    ) -> Tuple[_Segment, np.ndarray]:
         """Re-fuse the blocks still active up to the ``sweep_end`` horizon.
 
         A block is active while its group's sweep horizon has not been
         reached; blocks of finished groups drop out and the remaining
         ones re-fuse, so late sweeps of long jobs no longer touch the
-        rows of early-exited jobs.
+        rows of early-exited jobs.  Returns the segment and the tensor
+        layout: derived by the first segment (every block is active
+        then), reused by the later ones.
         """
         active = np.array(
             [b for b in range(len(blocks)) if groups[block_group[b]].num_sweeps >= sweep_end],
@@ -304,7 +297,7 @@ class FusionWindow:
         # sentinel, so the subset keeps global offsets (rows stay put in
         # the shared tensor) with the global width as sentinel.
         sub_offsets = np.concatenate([offsets[active], [total_n]])
-        fused_classes = BatchedAnnealer._fuse_classes(sub_blocks, sub_offsets)
+        fused_classes, position = BatchedAnnealer._fuse_classes(sub_blocks, sub_offsets, position)
         segment = _Segment(sweep_start=sweep_start, sweep_end=sweep_end, active_blocks=active)
         for class_index, fused in enumerate(fused_classes):
             # Blocks of one group are contiguous in the global order, so a
@@ -350,11 +343,10 @@ class FusionWindow:
                     # only touch padding state columns.
                     uniforms=np.full((rows, reads_max), 0.5),
                     probability=np.empty((rows, reads_max)),
-                    positive=np.empty((rows, reads_max), dtype=bool),
                     flips=np.empty((rows, reads_max), dtype=bool),
                 )
             )
-        return segment
+        return segment, position
 
     # ------------------------------------------------------------------ #
     # Fused sweep
@@ -363,16 +355,14 @@ class FusionWindow:
     def _fused_sweep(states_t: np.ndarray, segment: _Segment, beta_row: np.ndarray) -> None:
         """One Metropolis sweep over every fused class of the segment.
 
-        Replays :func:`~repro.annealer.simulated_annealing._metropolis_flips`
-        ufunc for ufunc, except the uniforms are drawn *per section* from
-        each group's own generator — the one place the fused loop must
-        diverge from the solo loop to keep per-job streams intact.
+        Runs the shared :func:`~repro.annealer.simulated_annealing.metropolis_update`
+        kernel; only the uniforms differ from the solo loop: they are
+        drawn *per section* from each group's own generator, which keeps
+        every job's stream intact.
         """
         for entry in segment.classes:
             fused = entry.fused
-            local_field = BatchedAnnealer._local_field(states_t, fused)
-            current = states_t[fused.members]
-            delta = (1.0 - 2.0 * current) * local_field
+            field = BatchedAnnealer._local_field(states_t, fused)
             for section in entry.sections:
                 if section.scratch is None:
                     section.rng.random(out=entry.uniforms[section.row0 : section.row1])
@@ -381,12 +371,14 @@ class FusionWindow:
                     entry.uniforms[
                         section.row0 : section.row1, : section.num_reads
                     ] = section.scratch
-            np.greater(delta, 0.0, out=entry.positive)
-            np.multiply(delta, -beta_row[entry.blocks_column], out=delta)
-            entry.probability.fill(1.0)
-            np.exp(delta, out=entry.probability, where=entry.positive)
-            np.less(entry.uniforms, entry.probability, out=entry.flips)
-            states_t[fused.members] = np.where(entry.flips, 1.0 - current, current)
+            metropolis_update(
+                states_t[fused.rows],
+                field,
+                beta_row[entry.blocks_column],
+                entry.uniforms,
+                entry.probability,
+                entry.flips,
+            )
 
 
 def fused_sample_block_states(

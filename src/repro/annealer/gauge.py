@@ -9,68 +9,54 @@ paper runs 10 gauges of 100 reads each.
 In Ising form a gauge is a vector ``g`` of +/-1 factors: the transformed
 problem has ``h'_i = g_i h_i`` and ``J'_ij = g_i g_j J_ij``; a sample
 ``s'`` of the transformed problem corresponds to the sample
-``s_i = g_i s'_i`` of the original problem, with identical energy.
+``s_i = g_i s'_i`` of the original problem, with identical energy.  On
+0/1 variables that back-transformation flips exactly the variables with
+``g_i = -1``, i.e. it is an XOR with the gauge's flip mask.
+
+Everything here works on arrays over a fixed variable order, with edges
+given as ``(m, 2)`` variable positions — the layout the device compiles
+once per request and shares across its gauge batches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Hashable, Mapping, Sequence
+from typing import Tuple
 
-from repro.exceptions import DeviceError
-from repro.qubo.ising import IsingModel
+import numpy as np
+
 from repro.utils.rng import SeedLike, ensure_rng
 
-__all__ = ["GaugeTransform", "random_gauge"]
-
-Variable = Hashable
+__all__ = ["apply_gauge", "random_gauge", "undo_gauge"]
 
 
-@dataclass(frozen=True)
-class GaugeTransform:
-    """A per-variable +/-1 gauge factor."""
+def random_gauge(num_variables: int, seed: SeedLike = None) -> np.ndarray:
+    """Draw an independent uniform +/-1 factor for every variable.
 
-    factors: Dict[Variable, int]
-
-    def __post_init__(self) -> None:
-        for var, factor in self.factors.items():
-            if factor not in (-1, 1):
-                raise DeviceError(f"gauge factor for {var!r} must be -1 or +1, got {factor}")
-
-    def factor(self, var: Variable) -> int:
-        """Gauge factor of one variable (identity for unknown variables)."""
-        return self.factors.get(var, 1)
-
-    def apply_to_ising(self, ising: IsingModel) -> IsingModel:
-        """The gauge-transformed Ising model."""
-        h = {var: self.factor(var) * value for var, value in ising.h.items()}
-        j = {
-            (u, v): self.factor(u) * self.factor(v) * value
-            for (u, v), value in ising.j.items()
-        }
-        return IsingModel(h=h, j=j, offset=ising.offset)
-
-    def apply_to_spins(self, spins: Mapping[Variable, int]) -> Dict[Variable, int]:
-        """Map spins between the original and the gauged frame (involution)."""
-        return {var: self.factor(var) * int(value) for var, value in spins.items()}
-
-    def apply_to_binary(self, sample: Mapping[Variable, int]) -> Dict[Variable, int]:
-        """Map a 0/1 sample between the original and the gauged frame."""
-        result = {}
-        for var, value in sample.items():
-            if value not in (0, 1):
-                raise DeviceError(f"binary value for {var!r} must be 0 or 1, got {value}")
-            result[var] = value if self.factor(var) == 1 else 1 - value
-        return result
-
-    @classmethod
-    def identity(cls, variables: Sequence[Variable]) -> "GaugeTransform":
-        """The identity gauge over the given variables."""
-        return cls(factors={var: 1 for var in variables})
-
-
-def random_gauge(variables: Sequence[Variable], seed: SeedLike = None) -> GaugeTransform:
-    """Draw an independent uniform +/-1 gauge factor for every variable."""
+    One ``integers(0, 2, num_variables)`` draw, so a gauge consumes the
+    random stream identically however it is used afterwards.
+    """
     rng = ensure_rng(seed)
-    signs = rng.integers(0, 2, size=len(variables)) * 2 - 1
-    return GaugeTransform(factors={var: int(sign) for var, sign in zip(variables, signs)})
+    return rng.integers(0, 2, size=num_variables) * 2 - 1
+
+
+def apply_gauge(
+    h: np.ndarray, j: np.ndarray, edges: np.ndarray, factors: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The gauge-transformed Ising fields and couplings.
+
+    ``h'_i = g_i h_i`` and ``J'_uv = g_u g_v J_uv``, where ``edges[k]``
+    holds the variable positions ``(u, v)`` of coupling ``j[k]``.  The
+    factors are +/-1, so every product is an exact sign change.
+    """
+    return factors * h, factors[edges[:, 0]] * factors[edges[:, 1]] * j
+
+
+def undo_gauge(states: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Map 0/1 states between the gauged and the original frame.
+
+    ``states`` is a ``(reads, n)`` 0/1 matrix and ``factors`` either one
+    gauge (``n`` factors) or one gauge per read (``(reads, n)``).  The
+    map is an involution: variables with factor -1 are flipped (XOR),
+    the others kept.  Returns a bool matrix.
+    """
+    return np.not_equal(states, factors < 0)

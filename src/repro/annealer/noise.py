@@ -16,10 +16,11 @@ submitted problem so the noise level tracks the device's analog range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Sequence
+from typing import Dict, Hashable, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import DeviceError
-from repro.qubo.ising import IsingModel
 from repro.utils.rng import SeedLike, ensure_rng
 
 __all__ = ["NoiseModel"]
@@ -63,28 +64,28 @@ class NoiseModel:
         values = rng.normal(0.0, self.static_bias_fraction, size=len(qubits))
         return {q: float(v) for q, v in zip(qubits, values)}
 
-    def perturb_ising(
+    def perturb(
         self,
-        ising: IsingModel,
-        static_bias: Dict[int, float],
+        h: np.ndarray,
+        j: np.ndarray,
+        static_bias: np.ndarray,
         scale: float,
         seed: SeedLike = None,
-    ) -> IsingModel:
-        """Apply static bias plus fresh programming noise to an Ising model.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Static bias plus fresh programming noise on Ising fields/couplings.
 
-        ``scale`` is the problem's largest absolute weight; all noise
-        magnitudes are relative to it.
+        ``h`` and ``static_bias`` hold one value per variable, ``j`` one
+        per coupling; ``scale`` is the problem's largest absolute
+        weight, and all noise magnitudes are relative to it.  The
+        programming noise is one ``normal`` draw for the fields and one
+        for the couplings (nothing is drawn on a noise-free device).
+        Returns new arrays; the inputs are left untouched.
         """
         if scale < 0:
             raise DeviceError("scale must be non-negative")
         rng = ensure_rng(seed)
-        h = dict(ising.h)
-        j = dict(ising.j)
-        for var in h:
-            h[var] += scale * static_bias.get(var, 0.0)
-            if self.programming_noise_fraction:
-                h[var] += scale * float(rng.normal(0.0, self.programming_noise_fraction))
+        h = h + scale * static_bias
         if self.programming_noise_fraction:
-            for edge in j:
-                j[edge] += scale * float(rng.normal(0.0, self.programming_noise_fraction))
-        return IsingModel(h=h, j=j, offset=ising.offset)
+            h = h + scale * rng.normal(0.0, self.programming_noise_fraction, size=h.size)
+            j = j + scale * rng.normal(0.0, self.programming_noise_fraction, size=j.size)
+        return h, j

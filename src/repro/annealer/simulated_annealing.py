@@ -59,43 +59,55 @@ def _greedy_coloring(adjacency: List[List[int]]) -> List[List[int]]:
     return greedy_coloring(adjacency)
 
 
-def _metropolis_flips(
-    delta: np.ndarray,
+def metropolis_update(
+    current: np.ndarray,
+    field: np.ndarray,
     beta: float | np.ndarray,
-    rng: np.random.Generator,
-    buffers: tuple | None = None,
-) -> np.ndarray:
-    """Metropolis acceptance mask for energy changes ``delta``.
+    uniforms: np.ndarray,
+    probability: np.ndarray,
+    flips: np.ndarray,
+) -> None:
+    """One Metropolis step of a colour class, applied to ``current`` in place.
 
-    Flips with ``delta <= 0`` are always accepted; the Boltzmann factor
-    ``exp(-beta * delta)`` is evaluated *only* on the positive branch
-    (via the ufunc ``where`` mask) so large-weight QUBOs cannot overflow
-    ``exp`` — the old implementation fed the masked-out branch through
-    ``np.where``, which still evaluated both sides and spewed overflow
-    warnings.  Masked-out lanes keep an acceptance probability of 1, and
-    a uniform in ``[0, 1)`` is always below it, so a single comparison
-    decides every lane.  The uniform draw covers the full class so every
-    backend consumes the random stream identically.
+    The single kernel behind every sweep driver (the solo sampler,
+    :class:`~repro.annealer.batched.BatchedAnnealer` and
+    :class:`~repro.annealer.fusion.FusionWindow`).
 
-    ``buffers`` is an optional ``(uniforms, probability, positive,
-    flips)`` tuple of preallocated arrays matching ``delta``'s shape
-    (two float, two bool): the hot sweep loops pass it so no memory is
-    allocated per update.  ``delta`` is clobbered either way.
+    ``current`` holds the class's 0/1 states, shape ``(class_size,
+    reads)``; ``field`` its local fields (clobbered); ``uniforms`` the
+    step's draws from ``[0, 1)``, which the caller makes so that each
+    driver keeps control of its random stream; ``beta`` is a scalar or
+    a per-row column.  ``probability`` (float) and ``flips`` (bool) are
+    scratch arrays of ``current``'s shape, so no memory is allocated per
+    step.
+
+    A flip changes the energy by ``delta = (1 - 2x) * field`` and is
+    accepted with probability ``min(1, exp(-beta * delta))``.  Clamping
+    the exponent at 0 before one unmasked ``exp`` yields exactly
+    ``exp(-beta * delta)`` where ``delta > 0`` and exactly 1.0 elsewhere;
+    the exponent is never positive, so large weights cannot overflow.  A
+    ``where=``-masked ``exp`` computes the same values but loses numpy's
+    SIMD loop and costs about 15x more.  ``fmin`` (not ``minimum``)
+    clamps a NaN exponent to 0, i.e. accepts, as the masked form did.
+    Accepted flips toggle the states: on 0/1 values ``x != flip`` is XOR.
     """
-    if buffers is None:
-        uniforms = np.empty_like(delta)
-        probability = np.empty_like(delta)
-        positive = np.empty(delta.shape, dtype=bool)
-        flips = np.empty(delta.shape, dtype=bool)
-    else:
-        uniforms, probability, positive, flips = buffers
-    rng.random(out=uniforms)
-    np.greater(delta, 0.0, out=positive)
-    np.multiply(delta, -beta, out=delta)
-    probability.fill(1.0)
-    np.exp(delta, out=probability, where=positive)
+    np.multiply(current, -2.0, out=probability)
+    probability += 1.0  # 1 - 2x: the sign of each candidate flip
+    field *= probability
+    np.multiply(field, -beta, out=field)
+    np.fmin(field, 0.0, out=field)
+    np.exp(field, out=probability)
     np.less(uniforms, probability, out=flips)
-    return flips
+    np.not_equal(current, flips, out=current)
+
+
+def class_buffers(rows: int, num_reads: int) -> Tuple[np.ndarray, ...]:
+    """``(uniforms, probability, flips)`` scratch for one class."""
+    return (
+        np.empty((rows, num_reads)),
+        np.empty((rows, num_reads)),
+        np.empty((rows, num_reads), dtype=bool),
+    )
 
 
 class SimulatedAnnealingSampler:
@@ -226,46 +238,29 @@ class SimulatedAnnealingSampler:
         rng: np.random.Generator,
         field_fns,
     ) -> None:
-        """Shared Metropolis sweep driver for both backends.
+        """Shared Metropolis sweep driver for both numpy backends.
 
         ``field_fns[k](states_t)`` returns the local field of colour
         class ``k`` (linear term included) as a fresh ``(|class|, R)``
         array that the driver may overwrite.  Everything else runs on
-        preallocated per-class buffers with in-place ufuncs — at
-        Chimera sparsity the elementwise bookkeeping, not the field
-        computation, would otherwise dominate the sweep.  The Boltzmann
-        factor is evaluated only on the positive-delta lanes via the
-        ufunc ``where`` mask (the masked lanes keep probability 1, which
-        every uniform in ``[0, 1)`` is below), so large-weight QUBOs
-        cannot overflow ``exp``.
+        preallocated per-class buffers through :func:`metropolis_update`.
         """
         classes = compiled.structure.classes
         num_reads = states_t.shape[1]
         buffers = [
-            (
-                np.empty((plan.members.size, num_reads)),  # current
-                np.empty((plan.members.size, num_reads)),  # tilt
-                tuple(np.empty((plan.members.size, num_reads)) for _ in range(2))
-                + tuple(
-                    np.empty((plan.members.size, num_reads), dtype=bool) for _ in range(2)
-                ),  # _metropolis_flips scratch
-            )
+            (np.empty((plan.members.size, num_reads)),) + class_buffers(plan.members.size, num_reads)
             for plan in classes
         ]
         for beta in betas:
             beta = float(beta)
-            for plan, field_fn, (current, tilt, metropolis_buffers) in zip(
+            for plan, field_fn, (current, uniforms, probability, flips) in zip(
                 classes, field_fns, buffers
             ):
                 np.take(states_t, plan.members, axis=0, out=current)
-                delta = field_fn(states_t)
-                np.multiply(current, -2.0, out=tilt)
-                tilt += 1.0  # tilt = 1 - 2x: the sign of each candidate flip
-                delta *= tilt
-                flips = _metropolis_flips(delta, beta, rng, buffers=metropolis_buffers)
-                np.multiply(flips, tilt, out=delta)  # accepted flips as +-1 steps
-                delta += current
-                states_t[plan.members] = delta
+                field = field_fn(states_t)
+                rng.random(out=uniforms)
+                metropolis_update(current, field, beta, uniforms, probability, flips)
+                states_t[plan.members] = current
 
     def _anneal_sparse(
         self,
@@ -304,8 +299,8 @@ class SimulatedAnnealingSampler:
         """Sweep via the fused compiled kernel (optional numba backend).
 
         The uniforms are drawn here, per class per sweep, with exactly
-        the shape the numpy backends draw inside
-        :func:`_metropolis_flips` — the kernel itself never touches the
+        the shape the numpy backends draw for
+        :func:`metropolis_update` — the kernel itself never touches the
         generator, so all backends consume one identical random stream.
         The CSR arrays are taken straight from the compiled gather plans
         (not from scipy), so the backend works wherever compilation

@@ -27,7 +27,7 @@ usable analog range of the annealer and hurt solution quality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Union
+from typing import Dict, List, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -86,6 +86,7 @@ class LogicalMapping:
         self.problem = problem
         self.config = config or LogicalMappingConfig()
         self._arrays = problem.arrays()
+        self._savings_matrix = None
         self.weight_at_least_one = self._derive_weight_at_least_one()
         self.weight_at_most_one = self._derive_weight_at_most_one()
         self.qubo = self._build_qubo()
@@ -148,7 +149,8 @@ class LogicalMapping:
     def indicator_matrix(self, samples: SampleBatch) -> np.ndarray:
         """0/1 plan-indicator matrix ``(num_samples, num_plans)`` of ``samples``.
 
-        Accepts a :class:`SampleSet`, a sequence of assignment mappings
+        Accepts a :class:`SampleSet` (its state columns are scattered
+        onto their plan columns), a sequence of assignment mappings
         (variables missing from an assignment count as 0), or an
         already-built indicator matrix (validated and passed through).
         """
@@ -161,15 +163,16 @@ class LogicalMapping:
                 )
             return matrix
         if isinstance(samples, SampleSet):
-            assignments: Iterable[Mapping[int, int]] = (
-                sample.assignment for sample in samples
-            )
-            count = len(samples)
-        else:
-            assignments = samples
-            count = len(samples)
-        matrix = np.zeros((count, num_plans), dtype=np.int8)
-        for row, assignment in enumerate(assignments):
+            columns = np.asarray(samples.variables, dtype=np.int64)
+            if columns.size and (columns.min() < 0 or columns.max() >= num_plans):
+                raise InvalidProblemError(
+                    f"sample set references unknown plan indices: {samples.variables[:5]}"
+                )
+            matrix = np.zeros((len(samples), num_plans), dtype=np.int8)
+            matrix[:, columns] = samples.states
+            return matrix
+        matrix = np.zeros((len(samples), num_plans), dtype=np.int8)
+        for row, assignment in enumerate(samples):
             selected = [plan for plan, bit in assignment.items() if bit]
             if selected:
                 if min(selected) < 0 or max(selected) >= num_plans:
@@ -225,8 +228,10 @@ class LogicalMapping:
         """
         return -self.weight_at_least_one * self.problem.num_queries
 
-    def repair(self, assignment: Mapping[int, int]) -> MQOSolution:
-        """Greedy repair of an invalid assignment into a valid MQO solution.
+    def repair(
+        self, assignments: Mapping[int, int] | np.ndarray
+    ) -> MQOSolution | List[MQOSolution]:
+        """Greedy repair of invalid assignments into valid MQO solutions.
 
         For every query the selected plan with the largest marginal
         benefit is kept (or the cheapest plan is added if none is
@@ -234,31 +239,55 @@ class LogicalMapping:
         read-outs to baselines on an equal, always-valid footing; the
         paper's headline numbers use unrepaired read-outs and the
         experiment runner exposes both.
-        """
-        chosen: Dict[int, int] = {}
-        for query in self.problem.queries:
-            selected = [p for p in query.plan_indices if assignment.get(p, 0)]
-            if len(selected) == 1:
-                chosen[query.index] = selected[0]
-            elif not selected:
-                chosen[query.index] = min(
-                    query.plan_indices, key=lambda p: self.problem.plan_cost(p)
-                )
-            else:
-                # Keep the selected plan with the lowest cost minus the savings
-                # it can realise with plans selected for other queries.
-                def marginal(p: int) -> float:
-                    partners = self.problem.sharing_partners(p)
-                    realizable = sum(
-                        saving
-                        for partner, saving in partners.items()
-                        if assignment.get(partner, 0)
-                        and self.problem.query_of_plan(partner) != query.index
-                    )
-                    return self.problem.plan_cost(p) - realizable
 
-                chosen[query.index] = min(selected, key=marginal)
-        return self.problem.solution_from_selection(chosen.values())
+        Pass one assignment mapping (plans missing from it count as 0)
+        to get one solution, or a ``(rows, num_plans)`` indicator matrix
+        to repair every row in one call and get one solution per row.
+        """
+        if isinstance(assignments, Mapping):
+            row = [1 if assignments.get(p, 0) else 0 for p in range(self.problem.num_plans)]
+            return self._repair_rows(np.array([row], dtype=np.int8))[0]
+        return self._repair_rows(self.indicator_matrix(assignments))
+
+    def _repair_rows(self, matrix: np.ndarray) -> List[MQOSolution]:
+        """Vectorised :meth:`repair` of every row of an indicator matrix.
+
+        A selected plan's marginal is its cost minus the savings it
+        realises with the row's other selected plans (savings never link
+        plans of one query).  Those savings are one sparse product whose
+        per-plan sums run in partner order, as the per-assignment scan
+        did, so ties and near-ties resolve identically; the first plan
+        (in query order) wins a tie.  Each distinct repaired selection
+        is built once.
+        """
+        if not len(matrix):
+            return []
+        arrays = self._arrays
+        selected = matrix.astype(bool)
+        realized = (self._savings_csr() @ np.ascontiguousarray(selected.T, dtype=np.float64)).T
+        key = np.where(selected, arrays.plan_cost - realized, np.inf)
+        offsets = arrays.query_offsets
+        cheapest = offsets[:-1] + arrays.cheapest_choices()
+        chosen = np.empty((len(matrix), arrays.num_queries), dtype=np.int64)
+        for q in range(arrays.num_queries):
+            lo, hi = int(offsets[q]), int(offsets[q + 1])
+            picked = lo + key[:, lo:hi].argmin(axis=1)
+            chosen[:, q] = np.where(selected[:, lo:hi].any(axis=1), picked, cheapest[q])
+        rows, inverse = np.unique(chosen, axis=0, return_inverse=True)
+        solutions = [self.problem.solution_from_selection(row) for row in rows.tolist()]
+        return [solutions[i] for i in inverse.reshape(-1).tolist()]
+
+    def _savings_csr(self):
+        """The plan-by-plan savings matrix in CSR form (partner order kept)."""
+        if self._savings_matrix is None:
+            from scipy.sparse import csr_matrix
+
+            arrays = self._arrays
+            self._savings_matrix = csr_matrix(
+                (arrays.adj_values, arrays.adj_indices, arrays.adj_indptr),
+                shape=(arrays.num_plans, arrays.num_plans),
+            )
+        return self._savings_matrix
 
 
 def map_mqo_to_qubo(

@@ -28,9 +28,10 @@ from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from repro.annealer.sampleset import SampleSet
 from repro.chimera.topology import ChimeraGraph
 from repro.embedding.base import Embedding
-from repro.embedding.unembed import ChainReadout, resolve_chains, resolve_chains_batch
+from repro.embedding.unembed import ChainGather, ChainReadout, UnembeddedSamples, resolve_chains
 from repro.exceptions import EmbeddingError
 from repro.qubo.model import QUBOModel
 
@@ -116,31 +117,42 @@ class PhysicalMapping:
         return resolve_chains(physical_sample, self.embedding, self.config.readout)
 
     def unembed_samples(
-        self, physical_samples: Sequence[Mapping[int, int]]
-    ) -> List[Tuple[Dict[Variable, int], bool]]:
+        self, physical_samples: SampleSet | Sequence[Mapping[int, int]]
+    ) -> UnembeddedSamples:
         """Vectorised chain read-out of a whole batch of physical samples.
 
-        Equivalent to calling :meth:`unembed_sample` per sample, but the
-        majority votes of all reads happen in one gather plus one
-        segmented reduction (:class:`~repro.embedding.unembed.ChainGather`),
-        which is what the pipeline uses after a many-read device request.
+        Takes the device's :class:`~repro.annealer.sampleset.SampleSet`
+        (its state matrix is resolved as is) or a sequence of per-read
+        qubit mappings.  The majority votes of all reads happen in one
+        gather plus one segmented reduction
+        (:class:`~repro.embedding.unembed.ChainGather`); the result's
+        matrix has one column per logical variable, in the logical
+        QUBO's variable order, and iterates as the per-read
+        ``(assignment, broken)`` pairs :meth:`unembed_sample` returns.
         """
-        if not physical_samples:
-            return []
-        qubit_order = list(physical_samples[0])
-        try:
-            states = np.array(
-                [[sample[qubit] for qubit in qubit_order] for sample in physical_samples],
-                dtype=np.int64,
+        if isinstance(physical_samples, SampleSet):
+            qubit_order, states = physical_samples.variables, physical_samples.states
+        elif physical_samples:
+            qubit_order = list(physical_samples[0])
+            try:
+                states = np.array(
+                    [[sample[qubit] for qubit in qubit_order] for sample in physical_samples],
+                    dtype=np.int64,
+                )
+            except KeyError as exc:
+                raise EmbeddingError(
+                    f"physical sample is missing qubit {exc} required by the embedding"
+                ) from exc
+        else:
+            variables = self.logical_qubo.variables
+            return UnembeddedSamples(
+                variables, np.zeros((0, len(variables)), dtype=np.int8), np.zeros(0, dtype=bool)
             )
-        except KeyError as exc:
-            raise EmbeddingError(
-                f"physical sample is missing qubit {exc} required by the embedding"
-            ) from exc
-        assignments, broken = resolve_chains_batch(
-            states, qubit_order, self.embedding, self.config.readout
+        gather = ChainGather(self.embedding, qubit_order, self.logical_qubo.variables)
+        matrix, broken = gather.resolve(states, self.config.readout)
+        return UnembeddedSamples(
+            gather.variables, matrix, broken, discard=self.config.readout is ChainReadout.DISCARD
         )
-        return list(zip(assignments, broken))
 
     def logical_energy(self, logical_assignment: Mapping[Variable, int]) -> float:
         """Energy of a logical assignment under the *logical* QUBO."""

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.annealer.device import DWaveSamplerSimulator
 from repro.annealer.sampleset import SampleSet
 from repro.core.logical import LogicalMapping, LogicalMappingConfig
@@ -299,46 +301,39 @@ class QuantumMQO:
         sample_set: SampleSet,
         preprocessing_time_ms: float,
     ) -> QuantumMQOResult:
-        best_solution: MQOSolution | None = None
-        best_raw_solution: MQOSolution | None = None
-        trajectory: List[Tuple[float, float]] = []
-        num_broken = 0
-        num_invalid = 0
+        # Everything stays in matrix form: the chain read-out resolves the
+        # device's state matrix into one logical matrix (its columns are
+        # the logical variables, i.e. the plans in index order), one
+        # batched decode costs and validates every read, and one repair
+        # call fixes every invalid read.
+        unembedded = physical.unembed_samples(sample_set)
+        plans = unembedded.matrix
+        raw_solutions = mapping.solutions_from_sampleset(plans)
+        raw_costs = np.array([solution.cost for solution in raw_solutions])
+        raw_valid = np.array([solution.is_valid for solution in raw_solutions], dtype=bool)
+        # Best raw read: valid reads beat invalid ones, then the lowest cost;
+        # the earliest read wins ties.
+        pool = raw_valid if raw_valid.any() else np.ones_like(raw_valid)
+        best_raw_solution = raw_solutions[int(np.argmin(np.where(pool, raw_costs, np.inf)))]
 
-        unembedded = physical.unembed_samples([sample.assignment for sample in sample_set])
-        # One batched decode costs/validates every read at once; the loop
-        # below only tracks incumbents and repairs the invalid reads.
-        raw_solutions = mapping.solutions_from_sampleset(
-            [logical_assignment for logical_assignment, _broken in unembedded]
+        candidates = list(raw_solutions)
+        invalid = np.flatnonzero(~raw_valid)
+        if self.repair_invalid and invalid.size:
+            repaired = mapping.repair(plans[invalid])
+            for read, solution in zip(invalid.tolist(), repaired):
+                candidates[read] = solution
+        costs = np.array(
+            [c.cost if c.is_valid else np.inf for c in candidates], dtype=np.float64
         )
-        for sample, (logical_assignment, broken), raw_solution in zip(
-            sample_set, unembedded, raw_solutions
-        ):
-            if broken:
-                num_broken += 1
-            if not raw_solution.is_valid:
-                num_invalid += 1
-            if best_raw_solution is None or self._better(raw_solution, best_raw_solution):
-                best_raw_solution = raw_solution
+        running_best = np.minimum.accumulate(costs)
+        trajectory = list(zip(sample_set.device_times_ms().tolist(), running_best.tolist()))
 
-            candidate = raw_solution
-            if not candidate.is_valid and self.repair_invalid:
-                candidate = mapping.repair(logical_assignment)
-            if candidate.is_valid and (
-                best_solution is None or candidate.cost < best_solution.cost
-            ):
-                best_solution = candidate
-            current_best = best_solution.cost if best_solution is not None else float("inf")
-            trajectory.append(
-                (sample_set.device_time_ms(sample.read_index + 1), current_best)
-            )
-
-        if best_solution is None:
+        if np.isfinite(running_best[-1]):
+            best_solution = candidates[int(np.argmin(costs))]
+        else:
             # No read produced (or could be repaired into) a valid solution;
             # fall back to the deterministic repair of the best raw read-out.
-            assert best_raw_solution is not None
             best_solution = mapping.repair(best_raw_solution.plan_indicator())
-        assert best_raw_solution is not None
 
         return QuantumMQOResult(
             problem=problem,
@@ -348,13 +343,6 @@ class QuantumMQO:
             sample_set=sample_set,
             physical_mapping=physical,
             preprocessing_time_ms=preprocessing_time_ms,
-            num_broken_chain_reads=num_broken,
-            num_invalid_reads=num_invalid,
+            num_broken_chain_reads=int(unembedded.broken.sum()),
+            num_invalid_reads=int(invalid.size),
         )
-
-    @staticmethod
-    def _better(candidate: MQOSolution, incumbent: MQOSolution) -> bool:
-        """Prefer valid solutions; among equals prefer lower cost."""
-        if candidate.is_valid != incumbent.is_valid:
-            return candidate.is_valid
-        return candidate.cost < incumbent.cost

@@ -9,8 +9,9 @@ offers the standard resolution strategies for broken chains.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from enum import Enum
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from repro.exceptions import EmbeddingError
 __all__ = [
     "ChainReadout",
     "ChainGather",
+    "UnembeddedSamples",
     "majority_vote",
     "resolve_chains",
     "resolve_chains_batch",
@@ -120,11 +122,21 @@ class ChainGather:
     qubit_order:
         The physical qubit corresponding to each column of the state
         matrices that will be resolved.
+    variables:
+        The logical variables to resolve, in output column order
+        (default: every variable of the embedding, in its order).
     """
 
-    def __init__(self, embedding: Embedding, qubit_order: Sequence[int]) -> None:
+    def __init__(
+        self,
+        embedding: Embedding,
+        qubit_order: Sequence[int],
+        variables: Sequence[Variable] | None = None,
+    ) -> None:
         position = {qubit: column for column, qubit in enumerate(qubit_order)}
-        self.variables: List[Variable] = list(embedding.variables)
+        self.variables: List[Variable] = list(
+            embedding.variables if variables is None else variables
+        )
         flat: List[int] = []
         lengths: List[int] = []
         for var in self.variables:
@@ -150,7 +162,8 @@ class ChainGather:
         :attr:`variables` and ``broken`` flags reads with at least one
         inconsistent chain.  With :attr:`ChainReadout.DISCARD` the
         assignment rows of broken reads are *not* blanked here — the
-        dictionary-level wrappers implement the discard convention.
+        callers (:class:`UnembeddedSamples`, the dictionary-level
+        wrappers) implement the discard convention.
         """
         states = np.asarray(states)
         if states.ndim != 2:
@@ -168,6 +181,60 @@ class ChainGather:
             # Majority with ties resolving to 1, matching majority_vote.
             assignments = (2 * ones >= self.lengths).astype(np.int64)
         return assignments.astype(np.int8), broken
+
+
+class UnembeddedSamples(SequenceABC):
+    """Logical read-out of a batch of physical samples, in matrix form.
+
+    Behaves as the sequence of per-read ``(assignment, broken)`` pairs
+    that :func:`resolve_chains` would return read by read (assignment
+    dictionaries are built only when iterated), while the array
+    consumers read :attr:`matrix` and :attr:`broken` directly.
+
+    Attributes
+    ----------
+    variables:
+        The logical variable of each :attr:`matrix` column.
+    matrix:
+        ``(num_reads, num_variables)`` int8 logical values.  Under
+        :attr:`ChainReadout.DISCARD` the rows of broken reads are all
+        zero, and their assignments read as empty.
+    broken:
+        ``bool[num_reads]``: whether a read had an inconsistent chain.
+    discard:
+        Whether broken reads were discarded.
+    """
+
+    def __init__(
+        self,
+        variables: Sequence[Variable],
+        matrix: np.ndarray,
+        broken: np.ndarray,
+        discard: bool = False,
+    ) -> None:
+        self.variables = list(variables)
+        self.matrix = matrix
+        self.broken = broken
+        self.discard = discard
+        if discard:
+            self.matrix[broken] = 0
+
+    def __len__(self) -> int:
+        return len(self.broken)
+
+    def __getitem__(self, index: int) -> Tuple[Dict[Variable, int], bool]:
+        broken = bool(self.broken[index])
+        if self.discard and broken:
+            return {}, True
+        return dict(zip(self.variables, self.matrix[index].tolist())), broken
+
+    def __iter__(self) -> Iterator[Tuple[Dict[Variable, int], bool]]:
+        return (self[index] for index in range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SequenceABC):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 def resolve_chains_batch(

@@ -15,10 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Mapping, Tuple
 
+import numpy as np
+
 from repro.exceptions import QUBOError
 from repro.qubo.model import QUBOModel
 
-__all__ = ["IsingModel", "qubo_to_ising", "ising_to_qubo"]
+__all__ = [
+    "IsingModel",
+    "qubo_to_ising",
+    "ising_to_qubo",
+    "qubo_arrays_to_ising",
+    "ising_arrays_to_qubo",
+]
 
 Variable = Hashable
 Edge = Tuple[Variable, Variable]
@@ -103,6 +111,44 @@ def ising_to_qubo(ising: IsingModel) -> QUBOModel:
         qubo.add_offset(coupling)
 
     return qubo
+
+
+def qubo_arrays_to_ising(
+    linear: np.ndarray, edges: np.ndarray, weights: np.ndarray, offset: float
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """:func:`qubo_to_ising` on the flat arrays of :meth:`QUBOModel.to_arrays`.
+
+    Returns ``(h, j, offset)``.  Every value is accumulated in the order
+    :func:`qubo_to_ising` uses — per-variable halves first, then per
+    edge (in edge order) a quarter onto ``u`` and then onto ``v`` — so
+    the results are bit-identical to the dictionary form.
+    """
+    h = 0.0 + linear / 2.0
+    quarter = weights / 4.0
+    np.add.at(h, edges.ravel(), np.repeat(quarter, 2))
+    terms = np.concatenate(([float(offset)], linear / 2.0, quarter))
+    return h, 0.0 + quarter, float(np.cumsum(terms)[-1])
+
+
+def ising_arrays_to_qubo(
+    h: np.ndarray, j: np.ndarray, edges: np.ndarray, offset: float
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """:func:`ising_to_qubo` on arrays: ``(linear, weights, offset)``.
+
+    Inverse of :func:`qubo_arrays_to_ising`, with the accumulation order
+    of :func:`ising_to_qubo` (bit-identical results).  Raises
+    :class:`QUBOError` exactly when the dictionary form would: when a
+    term it adds (``2 h_i`` or ``4 J_uv``) is not finite.
+    """
+    with np.errstate(over="ignore"):  # overflow is reported as QUBOError below
+        doubled = 2.0 * h
+        quadrupled = 4.0 * j
+    if not (np.isfinite(doubled).all() and np.isfinite(quadrupled).all()):
+        raise QUBOError("QUBO weights must be finite")
+    linear = 0.0 + doubled
+    np.add.at(linear, edges.ravel(), np.repeat(-2.0 * j, 2))
+    terms = np.concatenate(([float(offset)], -h, j))
+    return linear, 0.0 + quadrupled, float(np.cumsum(terms)[-1])
 
 
 def spins_to_binary(spins: Mapping[Variable, int]) -> Dict[Variable, int]:

@@ -102,7 +102,7 @@ def execute_fused_requests(
     if members:
         groups = [
             FusionGroup(
-                qubos=member.programmed.programmed_qubos,
+                qubos=member.programmed.blocks,
                 num_reads=max(member.programmed.batch_sizes),
                 rng=member.programmed.rng,
                 num_sweeps=member.pipeline.device.batched_sampler.num_sweeps,
@@ -117,10 +117,8 @@ def execute_fused_requests(
             )
 
         # Pass 3 — per-request assembly and decoding (solo code paths).
-        for member, (block_states, block_compiled) in zip(members, sampled):
-            results[member.index] = _assemble_member(
-                member, block_states, block_compiled, stopwatch
-            )
+        for member, (block_states, _compiled) in zip(members, sampled):
+            results[member.index] = _assemble_member(member, block_states, stopwatch)
 
     assert all(result is not None for result in results)
     return results  # type: ignore[return-value]
@@ -178,18 +176,13 @@ def _prepare_member(
 def _assemble_member(
     member: _FusionMember,
     block_states,
-    block_compiled,
     stopwatch: Stopwatch,
 ) -> SolveResult:
     """Decode one fused member through its solo assembly path."""
     request = member.request
     tracer = get_tracer()
     try:
-        device = member.pipeline.device
-        per_batch_assignments = device.batch_assignments(
-            block_states, block_compiled, member.programmed.batch_sizes
-        )
-        sample_set = device.assemble_samples(member.programmed, per_batch_assignments)
+        sample_set = member.pipeline.device.assemble_samples(member.programmed, block_states)
         with tracer.span("mqo.decode") as span:
             mqo_result = member.pipeline._collect_result(
                 request.problem,

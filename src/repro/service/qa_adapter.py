@@ -21,11 +21,13 @@ instance and every later solve goes straight to annealing.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from repro.annealer.compile import CompileCache
 from repro.baselines.anytime import AnytimeSolver, SolverTrajectory
 from repro.chimera.hardware import DWAVE_2X, DWaveSpec
+from repro.chimera.topology import ChimeraGraph
 from repro.core.pipeline import PreparedProblem, QuantumMQO, QuantumMQOResult
 from repro.mqo.problem import MQOProblem
 from repro.mqo.serialization import exact_problem_token
@@ -41,6 +43,18 @@ _PREPARED_HITS = get_registry().counter(
 _PREPARED_MISSES = get_registry().counter(
     "repro_prepared_cache_misses_total", "Prepared-pipeline cache misses (compilations)."
 )
+
+
+@lru_cache(maxsize=None)
+def ideal_topology(spec: DWaveSpec) -> ChimeraGraph:
+    """The defect-free topology of ``spec``, built once per spec.
+
+    Every solve of the adapter runs on this graph, so it is shared
+    read-only instead of rebuilt per solve (the 1152-qubit D-Wave 2X
+    adjacency takes milliseconds to build).  Building it draws no
+    random numbers, so sharing it cannot change any answer.
+    """
+    return spec.build_topology(perfect=True)
 
 
 class QuantumAnnealingSolver(AnytimeSolver):
@@ -128,7 +142,7 @@ class QuantumAnnealingSolver(AnytimeSolver):
         rng = ensure_rng(seed)
         device = DWaveSamplerSimulator(
             spec=self.spec,
-            topology=self.spec.build_topology(perfect=True),
+            topology=ideal_topology(self.spec),
             noise=NoiseModel(0.0, 0.0),
             num_sweeps=self.num_sweeps,
             seed=rng,

@@ -1,5 +1,6 @@
 """Tests for the D-Wave device simulator."""
 
+import numpy as np
 import pytest
 
 from repro.annealer.device import DWaveSamplerSimulator
@@ -25,6 +26,26 @@ class TestValidation:
         qubo = QUBOModel(linear={"a": 1.0})
         with pytest.raises(DeviceCapacityError):
             ideal_device.sample_qubo(qubo, num_reads=1)
+
+    def test_accepts_numpy_integer_labels(self, ideal_device):
+        """Qubit labels may be any integer type, numpy integers included."""
+        qubo = QUBOModel(linear={np.int64(0): -1.0, np.int32(4): 1.0})
+        qubo.add_quadratic(np.int64(0), np.int32(4), -0.5)
+        sampleset = ideal_device.sample_qubo(qubo, num_reads=4, num_gauges=2)
+        assert sampleset.num_reads == 4
+        reference = ideal_device.sample_qubo(
+            QUBOModel(linear={0: -1.0, 4: 1.0}, quadratic={(0, 4): -0.5}),
+            num_reads=4,
+            num_gauges=2,
+            seed=3,
+        )
+        relabeled = ideal_device.sample_qubo(qubo, num_reads=4, num_gauges=2, seed=3)
+        assert np.array_equal(relabeled.states, reference.states)
+
+    def test_rejects_boolean_label(self, ideal_device):
+        """``True`` is an int subclass but not a qubit label."""
+        with pytest.raises(DeviceCapacityError):
+            ideal_device.sample_qubo(QUBOModel(linear={True: 1.0}), num_reads=1)
 
     def test_rejects_non_coupler_interaction(self, ideal_device):
         # Qubits 0 and 1 sit in the same column of a cell: no coupler.

@@ -1,8 +1,15 @@
-"""Tests for gauge (spin-reversal) transformations."""
+"""Tests for gauge (spin-reversal) transformations.
 
+``TestGaugeTransform`` pins the dictionary gauge of the exactness
+oracle (``tests/dict_device_oracle.py``); the other classes test the
+library's array gauges, which the exactness suite proves equal to it.
+"""
+
+import numpy as np
 import pytest
 
-from repro.annealer.gauge import GaugeTransform, random_gauge
+from dict_device_oracle import GaugeTransform
+from repro.annealer.gauge import apply_gauge, random_gauge, undo_gauge
 from repro.exceptions import DeviceError
 from repro.qubo.ising import IsingModel, binary_to_spins
 from repro.qubo.model import QUBOModel
@@ -69,16 +76,60 @@ class TestGaugeTransform:
 
 class TestRandomGauge:
     def test_factors_cover_all_variables(self, rng):
-        gauge = random_gauge([0, 1, 2, 3], seed=rng)
-        assert set(gauge.factors) == {0, 1, 2, 3}
-        assert all(f in (-1, 1) for f in gauge.factors.values())
+        factors = random_gauge(4, seed=rng)
+        assert factors.shape == (4,)
+        assert set(factors.tolist()) <= {-1, 1}
 
     def test_deterministic_for_seed(self):
-        a = random_gauge(list(range(20)), seed=5)
-        b = random_gauge(list(range(20)), seed=5)
-        assert a.factors == b.factors
+        assert np.array_equal(random_gauge(20, seed=5), random_gauge(20, seed=5))
 
     def test_different_seeds_differ(self):
-        a = random_gauge(list(range(50)), seed=1)
-        b = random_gauge(list(range(50)), seed=2)
-        assert a.factors != b.factors
+        assert not np.array_equal(random_gauge(50, seed=1), random_gauge(50, seed=2))
+
+    def test_one_integer_draw(self):
+        """A gauge consumes exactly one integers(0, 2, n) draw."""
+        rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+        random_gauge(7, seed=rng)
+        reference.integers(0, 2, size=7)
+        assert rng.random() == reference.random()
+
+
+class TestArrayGauge:
+    H = np.array([1.0, -0.5, 0.25])
+    J = np.array([2.0, -1.0])
+    EDGES = np.array([[0, 1], [1, 2]])
+
+    @staticmethod
+    def _energy(h, j, edges, spins):
+        return float(h @ spins + (spins[edges[:, 0]] * spins[edges[:, 1]]) @ j)
+
+    def test_energy_invariance(self):
+        """Gauged problem + gauged spins = same energy (the defining property)."""
+        factors = np.array([-1, 1, -1])
+        gauged_h, gauged_j = apply_gauge(self.H, self.J, self.EDGES, factors)
+        for spins in ([1, 1, 1], [-1, 1, -1], [-1, -1, -1]):
+            spins = np.array(spins)
+            assert self._energy(gauged_h, gauged_j, self.EDGES, factors * spins) == pytest.approx(
+                self._energy(self.H, self.J, self.EDGES, spins)
+            )
+
+    def test_matches_dict_gauge(self):
+        factors = np.array([-1, -1, 1])
+        gauged_h, gauged_j = apply_gauge(self.H, self.J, self.EDGES, factors)
+        ising = IsingModel(h=dict(enumerate(self.H)), j={(0, 1): 2.0, (1, 2): -1.0})
+        reference = GaugeTransform(factors={0: -1, 1: -1, 2: 1}).apply_to_ising(ising)
+        assert gauged_h.tolist() == list(reference.h.values())
+        assert gauged_j.tolist() == list(reference.j.values())
+
+    def test_undo_is_involution(self):
+        factors = np.array([-1, 1, -1])
+        states = np.array([[1, 0, 0], [0, 1, 1]])
+        assert np.array_equal(undo_gauge(undo_gauge(states, factors), factors), states)
+
+    def test_undo_flips_only_negative_factors(self):
+        assert undo_gauge(np.array([[1, 1]]), np.array([-1, 1])).tolist() == [[False, True]]
+
+    def test_per_read_factors(self):
+        states = np.array([[1, 1], [1, 1]])
+        factors = np.array([[-1, 1], [1, -1]])
+        assert undo_gauge(states, factors).tolist() == [[False, True], [True, False]]

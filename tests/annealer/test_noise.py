@@ -1,10 +1,10 @@
 """Tests for the device noise model."""
 
+import numpy as np
 import pytest
 
 from repro.annealer.noise import NoiseModel
 from repro.exceptions import DeviceError
-from repro.qubo.ising import IsingModel
 
 
 class TestNoiseModel:
@@ -36,33 +36,48 @@ class TestNoiseModel:
 
 
 class TestPerturbIsing:
+    """``NoiseModel.perturb`` on Ising field/coupling arrays."""
+
     def test_noiseless_perturbation_is_identity(self):
         noise = NoiseModel(0.0, 0.0)
-        ising = IsingModel(h={0: 1.0, 1: -1.0}, j={(0, 1): 0.5}, offset=2.0)
-        perturbed = noise.perturb_ising(ising, {0: 0.0, 1: 0.0}, scale=1.0, seed=0)
-        assert perturbed.h == ising.h
-        assert perturbed.j == ising.j
-        assert perturbed.offset == ising.offset
+        h, j = np.array([1.0, -1.0]), np.array([0.5])
+        perturbed_h, perturbed_j = noise.perturb(h, j, np.zeros(2), scale=1.0, seed=0)
+        assert perturbed_h.tolist() == h.tolist()
+        assert perturbed_j.tolist() == j.tolist()
 
     def test_static_bias_added_proportionally_to_scale(self):
         noise = NoiseModel(0.1, 0.0)
-        ising = IsingModel(h={0: 1.0}, j={})
-        perturbed = noise.perturb_ising(ising, {0: 0.5}, scale=10.0, seed=0)
-        assert perturbed.h[0] == pytest.approx(1.0 + 10.0 * 0.5)
+        perturbed_h, _ = noise.perturb(
+            np.array([1.0]), np.array([]), np.array([0.5]), scale=10.0, seed=0
+        )
+        assert perturbed_h[0] == pytest.approx(1.0 + 10.0 * 0.5)
 
     def test_programming_noise_perturbs_couplings(self):
         noise = NoiseModel(0.0, 0.05)
-        ising = IsingModel(h={0: 0.0}, j={(0, 1): 1.0})
-        perturbed = noise.perturb_ising(ising, {}, scale=1.0, seed=3)
-        assert perturbed.j[(0, 1)] != 1.0
+        _, perturbed_j = noise.perturb(
+            np.array([0.0, 0.0]), np.array([1.0]), np.zeros(2), scale=1.0, seed=3
+        )
+        assert perturbed_j[0] != 1.0
 
     def test_original_model_untouched(self):
         noise = NoiseModel(0.1, 0.1)
-        ising = IsingModel(h={0: 1.0}, j={(0, 1): 1.0})
-        noise.perturb_ising(ising, {0: 1.0}, scale=1.0, seed=0)
-        assert ising.h[0] == 1.0
-        assert ising.j[(0, 1)] == 1.0
+        h, j = np.array([1.0]), np.array([1.0])
+        noise.perturb(h, j, np.array([1.0]), scale=1.0, seed=0)
+        assert h[0] == 1.0
+        assert j[0] == 1.0
 
     def test_negative_scale_rejected(self):
         with pytest.raises(DeviceError):
-            NoiseModel().perturb_ising(IsingModel(), {}, scale=-1.0)
+            NoiseModel().perturb(np.array([]), np.array([]), np.array([]), scale=-1.0)
+
+    def test_vector_draws_equal_scalar_draws(self):
+        """One vector normal draw per array equals one scalar draw per value."""
+        noise = NoiseModel(0.0, 0.03)
+        h, j = np.array([0.5, -1.0, 2.0]), np.array([1.0, -0.25])
+        rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+        perturbed_h, perturbed_j = noise.perturb(h, j, np.zeros(3), scale=2.0, seed=rng)
+        expected_h = [v + 2.0 * float(reference.normal(0.0, 0.03)) for v in h.tolist()]
+        expected_j = [v + 2.0 * float(reference.normal(0.0, 0.03)) for v in j.tolist()]
+        assert perturbed_h.tolist() == expected_h
+        assert perturbed_j.tolist() == expected_j
+        assert rng.random() == reference.random()

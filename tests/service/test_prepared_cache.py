@@ -55,6 +55,22 @@ class TestPreparedCache:
         assert trajectory.best_solution.is_valid
 
 
+class TestSharedTopology:
+    def test_two_solves_share_one_topology_and_agree(self):
+        """The defect-free topology is built once per spec and draws nothing."""
+        problem = generate_paper_testcase(4, 2, seed=5)
+        solver = QuantumAnnealingSolver()
+        first_pipeline = solver._build_pipeline(seed=1)
+        second_pipeline = solver._build_pipeline(seed=2)
+        assert first_pipeline.device.topology is second_pipeline.device.topology
+        first = solver.solve(problem, time_budget_ms=40.0, seed=9)
+        first_topology = solver.last_result.physical_mapping.topology
+        second = QuantumAnnealingSolver().solve(problem, time_budget_ms=40.0, seed=9)
+        assert solver.last_result.physical_mapping.topology is first_topology
+        assert second.points == first.points
+        assert second.best_solution.selected_plans == first.best_solution.selected_plans
+
+
 class TestPortfolioPrepareHook:
     def test_portfolio_race_warms_the_cache(self):
         from repro.service.portfolio import PortfolioScheduler
