@@ -43,6 +43,7 @@ from repro.annealer.schedule import AnnealingSchedule, default_schedule_for
 from repro.annealer.simulated_annealing import class_buffers, metropolis_update
 from repro.exceptions import DeviceError
 from repro.qubo.model import QUBOModel
+from repro.utils.cancel import check_cancelled
 from repro.utils.rng import SeedLike, ensure_rng
 
 __all__ = ["BatchedAnnealer", "BlockResult"]
@@ -157,6 +158,7 @@ class BatchedAnnealer:
         buffers = [class_buffers(fused.members.size, num_reads) for fused in fused_classes]
 
         for sweep in range(self.num_sweeps):
+            check_cancelled()
             beta_row = betas[sweep]
             for fused, blocks_column, (uniforms, probability, flips) in zip(
                 fused_classes, beta_columns, buffers

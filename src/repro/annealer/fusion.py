@@ -56,6 +56,7 @@ from repro.annealer.schedule import AnnealingSchedule, default_schedule_for
 from repro.annealer.simulated_annealing import metropolis_update
 from repro.exceptions import DeviceError
 from repro.qubo.model import QUBOModel
+from repro.utils.cancel import check_cancelled
 from repro.utils.rng import SeedLike, ensure_rng
 
 __all__ = ["FusionGroup", "FusionWindow", "fused_sample_block_states"]
@@ -220,6 +221,7 @@ class FusionWindow:
                 states = np.empty_like(initial)
                 states[position] = initial
             for sweep in range(segment.sweep_start, segment.sweep_end):
+                check_cancelled()
                 self._fused_sweep(states, segment, betas[sweep][segment.active_blocks])
             sweep_start = horizon
 

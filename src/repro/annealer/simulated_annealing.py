@@ -43,6 +43,7 @@ from repro.annealer.compile import (
 from repro.annealer.schedule import AnnealingSchedule, default_schedule_for
 from repro.exceptions import DeviceError
 from repro.qubo.model import QUBOModel
+from repro.utils.cancel import check_cancelled
 from repro.utils.rng import SeedLike, ensure_rng
 
 __all__ = ["SimulatedAnnealingSampler"]
@@ -252,6 +253,7 @@ class SimulatedAnnealingSampler:
             for plan in classes
         ]
         for beta in betas:
+            check_cancelled()
             beta = float(beta)
             for plan, field_fn, (current, uniforms, probability, flips) in zip(
                 classes, field_fns, buffers

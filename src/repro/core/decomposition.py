@@ -59,6 +59,7 @@ from repro.mqo.clustering import cluster_edges, cluster_queries, internal_weight
 from repro.mqo.problem import MQOProblem, MQOSolution
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
+from repro.utils.cancel import cancel_on
 from repro.utils.rng import SeedLike, derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - service imported lazily (cycle guard)
@@ -891,6 +892,10 @@ class DecomposedAnytimeSolver(AnytimeSolver):
             max_workers=self.max_workers,
         )
         base_seed = None if seed is None else int(seed)  # SeedLike -> request seed
-        return pipeline.solve(
-            problem, time_budget_ms=time_budget_ms, seed=base_seed
-        ).trajectory
+        # Clusters solved inline would see a portfolio race's stop token
+        # and degrade to their baseline, while pooled ones would not; the
+        # decomposition is never cancelled, so shield it from the token.
+        with cancel_on(None):
+            return pipeline.solve(
+                problem, time_budget_ms=time_budget_ms, seed=base_seed
+            ).trajectory

@@ -34,6 +34,7 @@ from repro.exceptions import EmbeddingError, EmbeddingNotFoundError, InvalidProb
 from repro.mqo.problem import MQOProblem, MQOSolution
 from repro.mqo.serialization import exact_problem_token
 from repro.obs.trace import get_tracer
+from repro.utils.cancel import check_cancelled
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.stopwatch import Stopwatch
 
@@ -228,15 +229,20 @@ class QuantumMQO:
         The result is independent of reads/gauges/seed and can be passed
         to :meth:`solve` any number of times, skipping the logical
         mapping, embedding search and physical mapping on every reuse.
+        A set stop token (:mod:`repro.utils.cancel`) is honoured before
+        every stage.
         """
         tracer = get_tracer()
         stopwatch = Stopwatch().start()
         with tracer.span("mqo.prepare", {"problem": problem.name or ""}):
+            check_cancelled()
             with tracer.span("mqo.qubo_build") as span:
                 mapping = LogicalMapping(problem, self.logical_config)
                 span.set_attribute("num_logical_vars", mapping.qubo.num_variables)
+            check_cancelled()
             with tracer.span("mqo.embed", {"embedder": str(self.embedder)}):
                 embedding = self.build_embedding(problem, mapping)
+            check_cancelled()
             with tracer.span("mqo.physical_map"):
                 physical = embed_logical_qubo(
                     mapping.qubo, embedding, self.device.topology, self.physical_config
@@ -264,7 +270,8 @@ class QuantumMQO:
         reported preprocessing time is then the cached one).  Passing a
         preparation built from a structurally different problem raises
         :class:`~repro.exceptions.InvalidProblemError` — the annealed
-        QUBO would belong to the wrong instance.
+        QUBO would belong to the wrong instance.  A set stop token is
+        honoured before annealing, once per sweep, and before decoding.
         """
         if prepared is None:
             prepared = self.prepare(problem)
@@ -280,11 +287,13 @@ class QuantumMQO:
         mapping, physical = prepared.mapping, prepared.physical
 
         tracer = get_tracer()
+        check_cancelled()
         with tracer.span("mqo.anneal") as span:
             sample_set = self.device.sample_qubo(
                 physical.physical_qubo, num_reads=num_reads, num_gauges=num_gauges, seed=seed
             )
             span.set_attribute("num_reads", len(sample_set))
+        check_cancelled()
         with tracer.span("mqo.decode") as span:
             result = self._collect_result(
                 problem, mapping, physical, sample_set, prepared.preprocessing_time_ms

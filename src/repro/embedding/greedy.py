@@ -30,6 +30,7 @@ from typing import Deque, Dict, Hashable, Iterable, List, Mapping, Sequence, Set
 from repro.chimera.topology import ChimeraGraph
 from repro.embedding.base import Embedding
 from repro.exceptions import EmbeddingError, EmbeddingNotFoundError
+from repro.utils.cancel import check_cancelled
 from repro.utils.rng import SeedLike, ensure_rng
 
 __all__ = ["GreedyEmbedder"]
@@ -167,6 +168,7 @@ class GreedyEmbedder:
         ripup_budget = int(self.ripup_factor * len(adjacency)) + 1
 
         while queue:
+            check_cancelled()
             var = queue.popleft()
             embedded_neighbors = [n for n in adjacency[var] if n in chains]
             if not embedded_neighbors:

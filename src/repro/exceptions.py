@@ -20,6 +20,7 @@ __all__ = [
     "DeviceCapacityError",
     "SolverError",
     "TimeBudgetExceededError",
+    "SolverCancelledError",
     "ServiceError",
     "UnknownSolverError",
     "DuplicateSolverError",
@@ -81,6 +82,15 @@ class SolverError(ReproError, RuntimeError):
 
 class TimeBudgetExceededError(SolverError):
     """A solver exceeded its configured time budget without any solution."""
+
+
+class SolverCancelledError(SolverError):
+    """A solver was stopped through its race's stop token.
+
+    The portfolio scheduler fires the token once the race's budget has
+    expired and some member holds a valid answer; members that check it
+    (the annealing pipeline) abandon their work and raise this error.
+    """
 
 
 class ServiceError(ReproError, RuntimeError):

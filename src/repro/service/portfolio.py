@@ -8,6 +8,13 @@ either truly concurrently on threads or sequentially on equal budget
 slices — and returns the best-cost winner together with every member's
 trajectory and the merged anytime trajectory of the whole portfolio.
 
+The budget is also the race's deadline.  Once it has expired and some
+member has returned a valid solution (or, failing that, at the first
+such answer), the race fires one stop token (:mod:`repro.utils.cancel`)
+shared by its members.  Members that check the token — the annealing
+pipeline, per sweep and per embedding step — are cancelled instead of
+joined; classical members enforce their own budgets and always finish.
+
 Winner selection is deterministic: lowest best cost, ties broken by the
 position of the solver in the raced line-up (registration order when the
 line-up comes from the registry).
@@ -15,7 +22,10 @@ line-up comes from the registry).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
+import traceback
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -25,10 +35,12 @@ from repro.baselines.anytime import (
     current_improvement_observers,
     observe_improvements,
 )
-from repro.exceptions import ServiceError
+from repro.exceptions import ServiceError, SolverCancelledError
 from repro.mqo.problem import MQOProblem, MQOSolution
+from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.service.registry import SolverRegistry, default_registry
+from repro.utils.cancel import cancel_on
 from repro.utils.rng import derive_seed
 from repro.utils.stopwatch import Stopwatch
 
@@ -41,6 +53,33 @@ MERGED_TRAJECTORY_NAME = "PORTFOLIO"
 def _member_seed(base_seed: Optional[int], member_index: int) -> int:
     """Deterministic child seed for portfolio member ``member_index``."""
     return derive_seed(base_seed, member_index)
+
+
+def _has_answer(future: Future) -> bool:
+    """Whether a finished member future returned a solution."""
+    return future.exception() is None and future.result().best_solution is not None
+
+
+def _await_deadline(
+    futures: Sequence[Future], deadline: float, stop: threading.Event, answered: bool
+) -> bool:
+    """Wait for ``futures``, firing ``stop`` at ``deadline`` once an answer exists.
+
+    ``deadline`` is a :func:`time.monotonic` instant; ``answered`` says
+    whether an earlier member already returned a solution.  Without an
+    answer at the deadline, the token fires at the first one instead, so
+    cancelling never leaves a race empty.  Returns whether any answer
+    exists once every future has finished.
+    """
+    pending = set(futures)
+    while pending:
+        remaining = deadline - time.monotonic()
+        if answered and remaining <= 0:
+            stop.set()
+        timeout = remaining if remaining > 0 and not stop.is_set() else None
+        done, pending = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
+        answered = answered or any(_has_answer(future) for future in done)
+    return answered
 
 
 @dataclass
@@ -69,6 +108,10 @@ class PortfolioResult:
     skipped:
         Members excluded up front because their capabilities reject the
         instance (e.g. too large for the annealer).
+    cancelled:
+        Members cut short by the race's stop token: they had not
+        finished when the budget expired and another member held an
+        answer, i.e. they did not converge within their budget.
     """
 
     problem: MQOProblem
@@ -78,6 +121,7 @@ class PortfolioResult:
     errors: Dict[str, str] = field(default_factory=dict)
     total_time_ms: float = 0.0
     skipped: Tuple[str, ...] = ()
+    cancelled: Tuple[str, ...] = ()
 
     @property
     def best_solution(self) -> Optional[MQOSolution]:
@@ -111,9 +155,11 @@ class PortfolioScheduler:
         supports the instance".
     mode:
         ``"threads"`` races all members concurrently, each under the full
-        wall-clock budget — real racing, finishing when the slowest
-        member's budget expires.  ``"split"`` runs members sequentially
-        on equal slices of the budget, which trades concurrency for
+        wall-clock budget — real racing, finishing at the budget plus the
+        time members take to notice it: stragglers that check the stop
+        token are cancelled once an answer exists.  ``"split"`` runs
+        members sequentially on equal slices of the budget, applying the
+        same deadline rule per slice, which trades concurrency for
         per-member timing that is unaffected by GIL contention.
     """
 
@@ -174,20 +220,8 @@ class PortfolioScheduler:
             raise ServiceError(f"time_budget_ms must be positive, got {time_budget_ms}")
         raced, skipped = self.lineup(problem, solvers)
         stopwatch = Stopwatch().start()
-
-        # Instantiate members up front and give solvers with a prepare()
-        # hook (the QA adapter) the chance to compile the instance before
-        # the race: the compilation lands in a shared cache, so it is paid
-        # once instead of inside every member's timed budget.
         members = {name: self.registry.create(name) for name in raced}
-        for name, solver in members.items():
-            prepare = getattr(solver, "prepare", None)
-            if callable(prepare):
-                try:
-                    prepare(problem)
-                except Exception:  # noqa: BLE001 — preparation is best-effort;
-                    # a failing member surfaces its error from solve() below.
-                    pass
+        budget = time_budget_ms if self.mode == "threads" else time_budget_ms / len(raced)
 
         # Anytime observers are registered per thread; capture the caller's
         # set so member threads can forward their improvements too (the
@@ -199,46 +233,61 @@ class PortfolioScheduler:
         tracer = get_tracer()
         parent_context = tracer.current_context()
 
-        def run_member(
-            position: int,
-            name: str,
-            observers: Tuple[ImprovementObserver, ...] = (),
-        ) -> SolverTrajectory:
-            solver = members[name]
-            budget = (
-                time_budget_ms if self.mode == "threads" else time_budget_ms / len(raced)
-            )
+        def run_member(position: int, name: str, stop: threading.Event) -> SolverTrajectory:
             with tracer.activate(parent_context):
-                with tracer.span("portfolio.member", {"solver": name}):
-                    with observe_improvements(*observers):
-                        return solver.solve(
-                            problem, budget, seed=_member_seed(seed, position)
-                        )
+                with tracer.span(
+                    "portfolio.member", {"solver": name, "cancelled": False}
+                ) as span:
+                    try:
+                        with observe_improvements(*inherited), cancel_on(stop):
+                            return members[name].solve(
+                                problem, budget, seed=_member_seed(seed, position)
+                            )
+                    except SolverCancelledError:
+                        span.set_attribute("cancelled", True)
+                        raise
+
+        # Threads race every member at once under one token; split mode
+        # races one member per slice, each slice with its own token.
+        threads = self.mode == "threads"
+        ordered = list(enumerate(raced))
+        groups = [ordered] if threads else [[member] for member in ordered]
+        futures: Dict[str, Future] = {}
+        start_offsets: Dict[str, float] = {}
+        answered = False
+        with ThreadPoolExecutor(max_workers=len(groups[0])) as pool:
+            for group in groups:
+                stop = threading.Event()
+                offset = 0.0 if threads else stopwatch.elapsed_ms()
+                deadline = time.monotonic() + budget / 1000.0
+                for position, name in group:
+                    start_offsets[name] = offset
+                    futures[name] = pool.submit(run_member, position, name, stop)
+                answered = _await_deadline(
+                    [futures[name] for _, name in group], deadline, stop, answered
+                )
 
         trajectories: Dict[str, SolverTrajectory] = {}
         errors: Dict[str, str] = {}
-        start_offsets: Dict[str, float] = {}
-        if self.mode == "threads" and len(raced) > 1:
-            start_offsets = {name: 0.0 for name in raced}  # all start together
-            with ThreadPoolExecutor(max_workers=len(raced)) as pool:
-                futures = {
-                    name: pool.submit(run_member, position, name, inherited)
-                    for position, name in enumerate(raced)
-                }
-                for name, future in futures.items():
-                    try:
-                        trajectories[name] = future.result()
-                    except Exception as exc:  # noqa: BLE001 — any member failure
-                        # lands in .errors; the race survives as long as one
-                        # member succeeds.
-                        errors[name] = f"{type(exc).__name__}: {exc}"
-        else:
-            for position, name in enumerate(raced):
-                start_offsets[name] = stopwatch.elapsed_ms()
-                try:
-                    trajectories[name] = run_member(position, name)
-                except Exception as exc:  # noqa: BLE001 — see above
-                    errors[name] = f"{type(exc).__name__}: {exc}"
+        cancelled: List[str] = []
+        for name, future in futures.items():
+            try:
+                trajectories[name] = future.result()
+            except SolverCancelledError as exc:
+                # The traceback pins the cancelled member's frames — the
+                # annealer's state tensor and scratch buffers — until the
+                # cyclic collector runs; clearing them frees that memory now.
+                traceback.clear_frames(exc.__traceback__)
+                cancelled.append(name)
+                get_registry().counter(
+                    "repro_service_budget_overrun_total",
+                    "Race members cancelled at the race deadline, by solver.",
+                    {"solver": name},
+                ).inc()
+            except Exception as exc:  # noqa: BLE001 — any member failure
+                # lands in .errors; the race survives as long as one
+                # member succeeds.
+                errors[name] = f"{type(exc).__name__}: {exc}"
 
         winner = self._pick_winner(raced, trajectories)
         merged = self._merge(raced, trajectories, winner, start_offsets)
@@ -251,6 +300,7 @@ class PortfolioScheduler:
             errors=errors,
             total_time_ms=merged.total_time_ms,
             skipped=skipped,
+            cancelled=tuple(cancelled),
         )
 
     @staticmethod

@@ -9,6 +9,8 @@ no-sharing-across-components bound, and is byte-deterministic under a
 fixed seed regardless of cluster completion order.
 """
 
+import threading
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from repro.mqo.generator import generate_clustered_problem, generate_paper_testc
 from repro.mqo.problem import MQOProblem
 from repro.service.cache import ResultCache
 from repro.service.frontend import ServiceFrontend
+from repro.utils.cancel import cancel_on
 
 
 @st.composite
@@ -349,6 +352,31 @@ class TestDecomposedAnytimeSolver:
         assert trajectory.best_solution is not None
         assert trajectory.best_solution.is_valid
         assert trajectory.best_cost == trajectory.best_solution.cost
+
+    def test_a_fired_race_token_does_not_reach_its_clusters(self):
+        # Inline cluster solves run on the racing member's thread; the
+        # decomposition shields them, so a fired token changes nothing.
+        problem = generate_clustered_problem(
+            num_clusters=3,
+            queries_per_cluster=2,
+            plans_per_query=2,
+            intra_cluster_density=0.8,
+            seed=1,
+        )
+
+        def solve():
+            solver = DecomposedAnytimeSolver(
+                frontend=ServiceFrontend(cache=ResultCache(capacity=8)), max_workers=1
+            )
+            return solver.solve(problem, time_budget_ms=400.0, seed=6)
+
+        token = threading.Event()
+        token.set()
+        with cancel_on(token):
+            raced = solve()
+        alone = solve()
+        assert raced.best_cost == alone.best_cost
+        assert raced.best_solution.selected_plans == alone.best_solution.selected_plans
 
     def test_cluster_cap_shrinks_with_wide_queries(self):
         solver = DecomposedAnytimeSolver(max_cluster_size=32)
