@@ -140,6 +140,7 @@ class BatchedAnnealer:
         if num_reads <= 0:
             raise DeviceError(f"num_reads must be positive, got {num_reads}")
         rng = ensure_rng(seed)
+        check_cancelled()  # before the blocks are compiled and fused
         compiled = [compile_qubo(qubo, cache=self.compile_cache) for qubo in qubos]
         for block in compiled:
             if not block.num_variables:

@@ -38,6 +38,7 @@ from repro.exceptions import DeviceCapacityError, DeviceError
 from repro.obs.metrics import get_registry
 from repro.qubo.ising import ising_arrays_to_qubo, qubo_arrays_to_ising
 from repro.qubo.model import QUBOModel
+from repro.utils.cancel import check_cancelled
 from repro.utils.rng import SeedLike, ensure_rng
 
 #: Annealing volume across all simulated devices in this process.
@@ -242,7 +243,8 @@ class DWaveSamplerSimulator:
         the returned :attr:`ProgrammedAnneal.rng` positioned exactly
         where the annealing stage expects it — whether the sweeps then
         run solo (:meth:`anneal_programmed`) or fused across requests
-        (:class:`~repro.annealer.fusion.FusionWindow`).
+        (:class:`~repro.annealer.fusion.FusionWindow`).  Inside a
+        portfolio race the stop token is checked before each gauge batch.
         """
         num_reads = self.spec.default_num_reads if num_reads is None else num_reads
         num_gauges = self.spec.default_num_gauges if num_gauges is None else num_gauges
@@ -264,6 +266,7 @@ class DWaveSamplerSimulator:
         gauges: List[np.ndarray] = []
         blocks: List[CompiledQUBO] = []
         for _ in batch_sizes:
+            check_cancelled()
             factors = random_gauge(len(variables), seed=rng)
             gauged_h, gauged_j = apply_gauge(h, j, edges, factors)
             noisy_h, noisy_j = self.noise.perturb(gauged_h, gauged_j, bias, scale, seed=rng)

@@ -29,6 +29,7 @@ __all__ = [
     "ImprovementObserver",
     "observe_improvements",
     "current_improvement_observers",
+    "race_clock",
 ]
 
 #: Callback invoked on every incumbent improvement a solver records:
@@ -36,6 +37,15 @@ __all__ = [
 ImprovementObserver = Callable[[str, float, float], None]
 
 _OBSERVERS = threading.local()
+
+
+class _ThreadClock(threading.local):
+    """The clock new recorders on this thread read (``None``: their own)."""
+
+    clock: Optional[Stopwatch] = None
+
+
+_CLOCK = _ThreadClock()
 
 #: Incumbent improvements recorded across all solvers (a counter, not a
 #: span: improvement loops are far too hot for per-iteration spans).
@@ -72,6 +82,26 @@ def observe_improvements(*observers: ImprovementObserver) -> Iterator[None]:
         yield
     finally:
         _OBSERVERS.installed = previous
+
+
+@contextmanager
+def race_clock(clock: Optional[Stopwatch]) -> Iterator[None]:
+    """Run every :class:`TrajectoryRecorder` created on this thread on ``clock``.
+
+    The portfolio scheduler installs its race's (or, in split mode, its
+    slice's) started :class:`Stopwatch` in each member thread, the way it
+    installs improvement observers and the stop token.  A member then
+    checks its budget and timestamps its improvements on the race's axis:
+    time it spent waiting to be scheduled, or building a model before its
+    search, counts against its budget.  ``None`` shields the block from
+    an outer clock; the previous clock is restored on exit.
+    """
+    previous = _CLOCK.clock
+    _CLOCK.clock = clock
+    try:
+        yield
+    finally:
+        _CLOCK.clock = previous
 
 
 @dataclass
@@ -170,11 +200,17 @@ class SolverTrajectory:
 
 
 class TrajectoryRecorder:
-    """Helper that solvers use to register incumbent improvements."""
+    """Helper that solvers use to register incumbent improvements.
+
+    Its clock is ``clock`` when given, else the clock installed on this
+    thread by :func:`race_clock`, else a stopwatch started now.
+    """
 
     def __init__(self, solver_name: str, clock: Stopwatch | None = None) -> None:
         self.solver_name = solver_name
-        self._clock = clock or Stopwatch().start()
+        if clock is None:
+            clock = _CLOCK.clock if _CLOCK.clock is not None else Stopwatch().start()
+        self._clock = clock
         self._points: List[Tuple[float, float]] = []
         self._best_cost = float("inf")
         self._best_solution: Optional[MQOSolution] = None
@@ -190,7 +226,7 @@ class TrajectoryRecorder:
         return self._best_solution
 
     def elapsed_ms(self) -> float:
-        """Elapsed time since the recorder was created."""
+        """Elapsed time on the recorder's clock."""
         return self._clock.elapsed_ms()
 
     def record(self, solution: MQOSolution, elapsed_ms: float | None = None) -> bool:

@@ -119,21 +119,29 @@ class IntegerProgrammingMQOSolver(AnytimeSolver):
         recorder = TrajectoryRecorder(self.name)
         program, _plan_column = build_mqo_program(problem)
 
+        warm_solution = None
         initial_vector = None
         if self.warm_start:
             warm_solution = GreedyConstructiveSolver().construct(problem)
             initial_vector = self._selection_to_vector(program, problem, warm_solution)
 
+        # Model building is charged to the budget: the search gets the rest.
+        remaining_ms = time_budget_ms - recorder.elapsed_ms()
+        if remaining_ms <= 0:
+            if warm_solution is not None:
+                recorder.record(warm_solution)
+            return recorder.finish()
+
         def on_incumbent(vector: np.ndarray, _objective: float, _elapsed_ms: float) -> None:
-            # Timestamps come from the recorder's clock, which started when
-            # solve() was entered, so model-building time is included.
+            # Timestamps come from the recorder's clock, not the search's,
+            # so model-building time is included.
             solution = self._vector_to_solution(program, problem, vector)
             recorder.record(solution)
 
         solver = BranchAndBoundSolver(max_nodes=self.max_nodes)
         result: MilpResult = solver.solve(
             program,
-            time_budget_ms=time_budget_ms,
+            time_budget_ms=remaining_ms,
             initial_assignment=initial_vector,
             rounding_heuristic=lambda frac: self._rounding_heuristic(program, problem, frac),
             on_incumbent=on_incumbent,

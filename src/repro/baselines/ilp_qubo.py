@@ -130,6 +130,7 @@ class IntegerProgrammingQUBOSolver(AnytimeSolver):
         mapping = LogicalMapping(problem, self.logical_config)
         program = build_qubo_program(mapping.qubo)
 
+        warm_solution = None
         initial_vector = None
         if self.warm_start:
             warm_solution = GreedyConstructiveSolver().construct(problem)
@@ -137,9 +138,16 @@ class IntegerProgrammingQUBOSolver(AnytimeSolver):
                 program, mapping.qubo, warm_solution.plan_indicator()
             )
 
+        # Model building is charged to the budget: the search gets the rest.
+        remaining_ms = time_budget_ms - recorder.elapsed_ms()
+        if remaining_ms <= 0:
+            if warm_solution is not None:
+                recorder.record(warm_solution)
+            return recorder.finish()
+
         def on_incumbent(vector: np.ndarray, _objective: float, _elapsed_ms: float) -> None:
-            # Timestamps come from the recorder's clock, which started when
-            # solve() was entered, so model-building time is included.
+            # Timestamps come from the recorder's clock, not the search's,
+            # so model-building time is included.
             assignment = self._vector_to_assignment(program, mapping.qubo, vector)
             solution = mapping.solution_from_assignment(assignment)
             if not solution.is_valid:
@@ -149,7 +157,7 @@ class IntegerProgrammingQUBOSolver(AnytimeSolver):
         solver = BranchAndBoundSolver(max_nodes=self.max_nodes)
         result: MilpResult = solver.solve(
             program,
-            time_budget_ms=time_budget_ms,
+            time_budget_ms=remaining_ms,
             initial_assignment=initial_vector,
             rounding_heuristic=lambda frac: self._rounding_heuristic(program, mapping, frac),
             on_incumbent=on_incumbent,

@@ -8,12 +8,17 @@ otherwise the most fractional variable is branched on.  A caller-supplied
 rounding heuristic turns fractional relaxation solutions into feasible
 incumbents early, which is what produces the anytime behaviour of the
 LIN-MQO / LIN-QUB baselines in Figures 4 and 5.
+
+Under a finite budget every relaxation runs with HiGHS's ``time_limit``
+set to the time that remains, so one slow LP cannot overrun the budget;
+an LP that hits the limit ends the search without a proof of optimality.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -56,6 +61,14 @@ class MilpResult:
         return self.incumbent_times_ms[-1][0]
 
 
+#: ``linprog`` status of an LP stopped by its iteration or time limit.
+_LP_LIMIT_REACHED = 1
+
+
+class _OutOfTime(Exception):
+    """The budget ran out before or during an LP relaxation."""
+
+
 @dataclass(order=True)
 class _Node:
     bound: float
@@ -87,22 +100,32 @@ class BranchAndBoundSolver:
         self,
         program: BinaryLinearProgram,
         fixings: Dict[int, int],
+        time_limit_s: Optional[float],
     ) -> Tuple[Optional[np.ndarray], Optional[float]]:
-        c = program.objective_vector()
+        """The relaxation's solution and bound (``(None, None)``: infeasible).
+
+        Raises :class:`_OutOfTime` when ``time_limit_s`` (``None``: no
+        limit) has run out, before or during the LP.
+        """
+        if time_limit_s is not None and time_limit_s <= 0:
+            raise _OutOfTime
         a_eq, b_eq = program.equality_matrix()
         a_ub, b_ub = program.inequality_matrix()
-        bounds = [(0.0, 1.0)] * program.num_variables
-        for index, value in fixings.items():
-            bounds[index] = (float(value), float(value))
+        bounds = np.tile((0.0, 1.0), (program.num_variables, 1))
+        for column, value in fixings.items():
+            bounds[column] = value
         result = linprog(
-            c,
+            program.objective_vector(),
             A_ub=a_ub,
             b_ub=b_ub,
             A_eq=a_eq,
             b_eq=b_eq,
             bounds=bounds,
             method="highs",
+            options=None if time_limit_s is None else {"time_limit": time_limit_s},
         )
+        if result.status == _LP_LIMIT_REACHED:
+            raise _OutOfTime
         if not result.success:
             return None, None
         return np.asarray(result.x), float(result.fun)
@@ -122,7 +145,9 @@ class BranchAndBoundSolver:
 
         ``initial_assignment`` (if feasible) provides a warm-start
         incumbent; ``rounding_heuristic`` is applied to every fractional
-        relaxation solution to generate further incumbents.
+        relaxation solution to generate further incumbents.  The search
+        stops at ``time_budget_ms``; only a search that ran to its end
+        proves its incumbent optimal.
         """
         if time_budget_ms <= 0:
             raise SolverError(f"time_budget_ms must be positive, got {time_budget_ms}")
@@ -133,6 +158,11 @@ class BranchAndBoundSolver:
         incumbent_times: List[Tuple[float, float]] = []
         nodes_explored = 0
         relaxations_solved = 0
+
+        def time_left_s() -> Optional[float]:
+            if math.isinf(time_budget_ms):
+                return None
+            return (time_budget_ms - stopwatch.elapsed_ms()) / 1000.0
 
         def accept_incumbent(candidate: np.ndarray, objective: float) -> None:
             nonlocal incumbent, incumbent_objective
@@ -149,20 +179,8 @@ class BranchAndBoundSolver:
             if program.is_feasible(candidate):
                 accept_incumbent(candidate, program.objective_value(candidate))
 
-        root_solution, root_bound = self._solve_relaxation(program, {})
-        relaxations_solved += 1
-        if root_solution is None:
-            return MilpResult(
-                assignment=incumbent,
-                objective=incumbent_objective,
-                proved_optimal=incumbent is not None,
-                nodes_explored=0,
-                lp_relaxations_solved=relaxations_solved,
-                elapsed_ms=stopwatch.elapsed_ms(),
-                incumbent_times_ms=incumbent_times,
-            )
-
-        heap: List[_Node] = [_Node(bound=root_bound, sequence=next(counter), fixings={})]
+        # Each node carries its parent's bound; the root has none.
+        heap: List[_Node] = [_Node(bound=-math.inf, sequence=next(counter), fixings={})]
         proved_optimal = False
 
         while heap:
@@ -175,7 +193,10 @@ class BranchAndBoundSolver:
                 # Best-first order: every remaining node is at least as bad.
                 proved_optimal = incumbent is not None
                 break
-            solution, bound = self._solve_relaxation(program, node.fixings)
+            try:
+                solution, bound = self._solve_relaxation(program, node.fixings, time_left_s())
+            except _OutOfTime:
+                break
             relaxations_solved += 1
             nodes_explored += 1
             if solution is None or bound is None:

@@ -8,13 +8,16 @@ The model is
                  x_i in {0, 1}
 
 Constraints are accumulated row by row as sparse coefficient mappings and
-materialised into ``scipy.sparse`` matrices on demand.
+materialised into ``scipy.sparse`` matrices on first use.  The materialised
+arrays are cached until the model changes: branch-and-bound solves one LP
+per node and checks every candidate incumbent against them, and rebuilding
+them from the rows each time cost more than a small LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Sequence, Tuple, TypeVar
 
 import numpy as np
 from scipy import sparse
@@ -24,6 +27,7 @@ from repro.exceptions import SolverError
 __all__ = ["BinaryLinearProgram"]
 
 VariableName = Hashable
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -41,6 +45,8 @@ class BinaryLinearProgram:
         self._index: Dict[VariableName, int] = {}
         self._equalities: List[_Row] = []
         self._inequalities: List[_Row] = []
+        #: Materialised arrays by kind, cleared whenever the model changes.
+        self._materialised: Dict[str, object] = {}
 
     # ------------------------------------------------------------------ #
     # Variables and objective
@@ -50,6 +56,7 @@ class BinaryLinearProgram:
         if name in self._index:
             raise SolverError(f"variable {name!r} already exists")
         index = len(self._names)
+        self._materialised.clear()
         self._names.append(name)
         self._index[name] = index
         if objective:
@@ -59,6 +66,7 @@ class BinaryLinearProgram:
     def add_objective(self, name: VariableName, coefficient: float) -> None:
         """Accumulate an objective coefficient onto an existing variable."""
         index = self.index_of(name)
+        self._materialised.clear()
         self._objective[index] = self._objective.get(index, 0.0) + float(coefficient)
 
     def index_of(self, name: VariableName) -> int:
@@ -92,10 +100,12 @@ class BinaryLinearProgram:
     def add_equality(self, coefficients: Mapping[VariableName, float], rhs: float) -> None:
         """Add a constraint ``sum coeff * x = rhs``."""
         self._equalities.append(self._build_row(coefficients, rhs))
+        self._materialised.clear()
 
     def add_less_equal(self, coefficients: Mapping[VariableName, float], rhs: float) -> None:
         """Add a constraint ``sum coeff * x <= rhs``."""
         self._inequalities.append(self._build_row(coefficients, rhs))
+        self._materialised.clear()
 
     def add_greater_equal(self, coefficients: Mapping[VariableName, float], rhs: float) -> None:
         """Add a constraint ``sum coeff * x >= rhs`` (stored as ``<=`` of the negation)."""
@@ -110,11 +120,25 @@ class BinaryLinearProgram:
     # ------------------------------------------------------------------ #
     # Materialisation
     # ------------------------------------------------------------------ #
+    def _cached(self, kind: str, build: Callable[[], _T]) -> _T:
+        """``build()``'s result, computed once per version of the model.
+
+        The cached arrays are shared between callers: the vectors are
+        read-only, and the constraint matrices must not be modified.
+        """
+        if kind not in self._materialised:
+            self._materialised[kind] = build()
+        return self._materialised[kind]  # type: ignore[return-value]
+
     def objective_vector(self) -> np.ndarray:
-        """Dense objective coefficient vector."""
+        """Dense objective coefficient vector (read-only)."""
+        return self._cached("objective", self._build_objective)
+
+    def _build_objective(self) -> np.ndarray:
         c = np.zeros(self.num_variables)
         for index, value in self._objective.items():
             c[index] = value
+        c.flags.writeable = False
         return c
 
     @staticmethod
@@ -134,15 +158,20 @@ class BinaryLinearProgram:
         matrix = sparse.csr_matrix(
             (data, (row_indices, col_indices)), shape=(len(rows), num_columns)
         )
+        rhs.flags.writeable = False
         return matrix, rhs
 
     def equality_matrix(self):
         """``(A_eq, b_eq)`` as a CSR matrix and vector (``(None, None)`` if empty)."""
-        return self._rows_to_sparse(self._equalities, self.num_variables)
+        return self._cached(
+            "equality", lambda: self._rows_to_sparse(self._equalities, self.num_variables)
+        )
 
     def inequality_matrix(self):
         """``(A_ub, b_ub)`` as a CSR matrix and vector (``(None, None)`` if empty)."""
-        return self._rows_to_sparse(self._inequalities, self.num_variables)
+        return self._cached(
+            "inequality", lambda: self._rows_to_sparse(self._inequalities, self.num_variables)
+        )
 
     # ------------------------------------------------------------------ #
     # Evaluation

@@ -52,6 +52,7 @@ from repro.baselines.anytime import (
     AnytimeSolver,
     SolverTrajectory,
     TrajectoryRecorder,
+    race_clock,
 )
 from repro.core.pipeline import QuantumMQO, QuantumMQOResult
 from repro.exceptions import InvalidProblemError, SolverError
@@ -722,7 +723,10 @@ class ParallelDecomposition:
                 seed=derive_seed(seed, cluster_index),
                 job_id=f"{self.name}-c{cluster_index}",
             )
-            return subproblem, self.frontend.submit(request)
+            # A cluster's budget starts with its solve, not with an
+            # enclosing portfolio race's clock.
+            with race_clock(None):
+                return subproblem, self.frontend.submit(request)
 
         def merge(cluster_index: int, subproblem: ClusterSubproblem, result) -> None:
             nonlocal current_cost, completed

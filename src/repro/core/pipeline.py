@@ -271,7 +271,9 @@ class QuantumMQO:
         preparation built from a structurally different problem raises
         :class:`~repro.exceptions.InvalidProblemError` — the annealed
         QUBO would belong to the wrong instance.  A set stop token is
-        honoured before annealing, once per sweep, and before decoding.
+        honoured before annealing, before each gauge batch is
+        programmed, before the batches are compiled and fused, once per
+        sweep, and before decoding.
         """
         if prepared is None:
             prepared = self.prepare(problem)

@@ -8,12 +8,17 @@ either truly concurrently on threads or sequentially on equal budget
 slices — and returns the best-cost winner together with every member's
 trajectory and the merged anytime trajectory of the whole portfolio.
 
-The budget is also the race's deadline.  Once it has expired and some
-member has returned a valid solution (or, failing that, at the first
-such answer), the race fires one stop token (:mod:`repro.utils.cancel`)
+Every member runs on the race's clock (:func:`~repro.baselines.anytime.race_clock`):
+the race's stopwatch starts when :meth:`PortfolioScheduler.solve` is
+entered, and a member that starts late — behind the GIL, or behind a slow
+factory — has less of its budget left, not a budget of its own.  The
+budget is also the race's deadline.  Once it has expired and some member
+has returned a valid solution (or, failing that, at the first such
+answer), the race fires one stop token (:mod:`repro.utils.cancel`)
 shared by its members.  Members that check the token — the annealing
-pipeline, per sweep and per embedding step — are cancelled instead of
-joined; classical members enforce their own budgets and always finish.
+pipeline, per gauge batch, per sweep and per embedding step — are
+cancelled instead of joined; classical members stop themselves at the
+race's deadline and always finish.
 
 Winner selection is deterministic: lowest best cost, ties broken by the
 position of the solver in the raced line-up (registration order when the
@@ -23,7 +28,6 @@ line-up comes from the registry).
 from __future__ import annotations
 
 import threading
-import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
@@ -34,6 +38,7 @@ from repro.baselines.anytime import (
     SolverTrajectory,
     current_improvement_observers,
     observe_improvements,
+    race_clock,
 )
 from repro.exceptions import ServiceError, SolverCancelledError
 from repro.mqo.problem import MQOProblem, MQOSolution
@@ -61,19 +66,23 @@ def _has_answer(future: Future) -> bool:
 
 
 def _await_deadline(
-    futures: Sequence[Future], deadline: float, stop: threading.Event, answered: bool
+    futures: Sequence[Future],
+    clock: Stopwatch,
+    budget_ms: float,
+    stop: threading.Event,
+    answered: bool,
 ) -> bool:
-    """Wait for ``futures``, firing ``stop`` at ``deadline`` once an answer exists.
+    """Wait for ``futures``, firing ``stop`` at ``budget_ms`` once an answer exists.
 
-    ``deadline`` is a :func:`time.monotonic` instant; ``answered`` says
-    whether an earlier member already returned a solution.  Without an
-    answer at the deadline, the token fires at the first one instead, so
-    cancelling never leaves a race empty.  Returns whether any answer
-    exists once every future has finished.
+    The deadline is ``budget_ms`` on ``clock``, the clock the members run
+    on; ``answered`` says whether an earlier member already returned a
+    solution.  Without an answer at the deadline, the token fires at the
+    first one instead, so cancelling never leaves a race empty.  Returns
+    whether any answer exists once every future has finished.
     """
     pending = set(futures)
     while pending:
-        remaining = deadline - time.monotonic()
+        remaining = (budget_ms - clock.elapsed_ms()) / 1000.0
         if answered and remaining <= 0:
             stop.set()
         timeout = remaining if remaining > 0 and not stop.is_set() else None
@@ -154,13 +163,14 @@ class PortfolioScheduler:
         specify one.  ``None`` means "every registered solver that
         supports the instance".
     mode:
-        ``"threads"`` races all members concurrently, each under the full
-        wall-clock budget — real racing, finishing at the budget plus the
-        time members take to notice it: stragglers that check the stop
-        token are cancelled once an answer exists.  ``"split"`` runs
-        members sequentially on equal slices of the budget, applying the
-        same deadline rule per slice, which trades concurrency for
-        per-member timing that is unaffected by GIL contention.
+        ``"threads"`` races all members concurrently on the race's clock,
+        each under the full budget — real racing, finishing at the budget
+        plus the time members take to notice it: stragglers that check
+        the stop token are cancelled once an answer exists.  ``"split"``
+        runs members sequentially on equal slices of the budget, each on
+        its slice's clock, applying the same deadline rule per slice,
+        which trades concurrency for per-member timing that is unaffected
+        by GIL contention.
     """
 
     MODES = ("threads", "split")
@@ -233,13 +243,19 @@ class PortfolioScheduler:
         tracer = get_tracer()
         parent_context = tracer.current_context()
 
-        def run_member(position: int, name: str, stop: threading.Event) -> SolverTrajectory:
+        def run_member(
+            position: int, name: str, stop: threading.Event, clock: Stopwatch
+        ) -> SolverTrajectory:
             with tracer.activate(parent_context):
                 with tracer.span(
                     "portfolio.member", {"solver": name, "cancelled": False}
                 ) as span:
                     try:
-                        with observe_improvements(*inherited), cancel_on(stop):
+                        with (
+                            observe_improvements(*inherited),
+                            cancel_on(stop),
+                            race_clock(clock),
+                        ):
                             return members[name].solve(
                                 problem, budget, seed=_member_seed(seed, position)
                             )
@@ -247,8 +263,9 @@ class PortfolioScheduler:
                         span.set_attribute("cancelled", True)
                         raise
 
-        # Threads race every member at once under one token; split mode
-        # races one member per slice, each slice with its own token.
+        # Threads race every member at once on the race's clock under one
+        # token; split mode races one member per slice, each slice with
+        # its own clock and token.
         threads = self.mode == "threads"
         ordered = list(enumerate(raced))
         groups = [ordered] if threads else [[member] for member in ordered]
@@ -259,12 +276,12 @@ class PortfolioScheduler:
             for group in groups:
                 stop = threading.Event()
                 offset = 0.0 if threads else stopwatch.elapsed_ms()
-                deadline = time.monotonic() + budget / 1000.0
+                clock = stopwatch if threads else Stopwatch().start()
                 for position, name in group:
                     start_offsets[name] = offset
-                    futures[name] = pool.submit(run_member, position, name, stop)
+                    futures[name] = pool.submit(run_member, position, name, stop, clock)
                 answered = _await_deadline(
-                    [futures[name] for _, name in group], deadline, stop, answered
+                    [futures[name] for _, name in group], clock, budget, stop, answered
                 )
 
         trajectories: Dict[str, SolverTrajectory] = {}
@@ -326,10 +343,10 @@ class PortfolioScheduler:
     ) -> SolverTrajectory:
         """Best-so-far envelope over every member's anytime points.
 
-        Member trajectories keep their solver-local time axes; the merged
-        envelope lives on the race's wall-clock axis, so each member's
-        points are shifted by its start offset (zero when racing on
-        threads, the member's sequential start time in split mode).
+        Members record on the clock they ran on; the merged envelope
+        lives on the race's axis, so each member's points are shifted by
+        the start of that clock on the race's (zero when racing on
+        threads, the slice's start in split mode).
         """
         ordered = [(name, trajectories[name]) for name in raced if name in trajectories]
         merged = SolverTrajectory.envelope(

@@ -155,10 +155,10 @@ class QuantumAnnealingSolver(AnytimeSolver):
     ) -> PreparedProblem:
         """Compile ``problem`` once, caching the result process-wide.
 
-        The portfolio scheduler calls this before racing so the
-        compilation happens outside the timed region; subsequent
-        :meth:`solve` calls for the same instance hit the cache.  When
-        ``pipeline`` is given, a cache miss reuses its device (saving a
+        :meth:`solve` calls this first, so a cold instance is compiled
+        inside the solve's own budget (where a race's stop token can cut
+        the embedding search short) and later solves of the same
+        instance hit the cache.  When ``pipeline`` is given, a cache miss reuses its device (saving a
         topology build) — the embedding search still runs under the
         instance-derived seed so the prepared result never depends on
         the solve seed or cache state.

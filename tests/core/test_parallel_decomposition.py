@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.baselines.anytime import race_clock
 from repro.core.decomposition import (
     DecomposedAnytimeSolver,
     DecomposedQuantumMQO,
@@ -32,6 +33,7 @@ from repro.mqo.problem import MQOProblem
 from repro.service.cache import ResultCache
 from repro.service.frontend import ServiceFrontend
 from repro.utils.cancel import cancel_on
+from repro.utils.stopwatch import VirtualClock
 
 
 @st.composite
@@ -377,6 +379,28 @@ class TestDecomposedAnytimeSolver:
         alone = solve()
         assert raced.best_cost == alone.best_cost
         assert raced.best_solution.selected_plans == alone.best_solution.selected_plans
+
+    def test_an_expired_race_clock_does_not_reach_its_clusters(self):
+        # Inline cluster solves run on the racing member's thread; a race
+        # clock already past the budget would leave CLIMB no time for any
+        # cluster, so the decomposition gives each cluster its own clock.
+        problem = generate_clustered_problem(
+            num_clusters=3,
+            queries_per_cluster=2,
+            plans_per_query=2,
+            intra_cluster_density=0.8,
+            seed=1,
+        )
+
+        def solve():
+            pipeline = _pipeline(1, cluster_solvers=("CLIMB",), max_cluster_size=2)
+            return pipeline.solve(problem, time_budget_ms=200.0, seed=6)
+
+        with race_clock(VirtualClock(10_000.0)):
+            raced = solve()
+        alone = solve()
+        assert raced.errors == {}
+        assert raced.solution.cost == alone.solution.cost
 
     def test_cluster_cap_shrinks_with_wide_queries(self):
         solver = DecomposedAnytimeSolver(max_cluster_size=32)

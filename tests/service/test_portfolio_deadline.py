@@ -2,10 +2,12 @@
 
 A race's budget is its deadline: once it has expired and some member
 holds a valid answer, the race fires its stop token, and members that
-check the token are cancelled instead of joined.  These tests pin the
-rule with scripted members, the budget contract on the built-in suites,
-the release of a cancelled annealer's buffers, and the observability of
-cancellations.
+check the token are cancelled instead of joined.  Every member runs on
+the race's clock, so a member that starts late stops at the race's
+deadline, not at its own budget after its late start.  These tests pin
+the rule with scripted members, the race clock, the budget contract on
+the built-in suites, the release of a cancelled annealer's buffers, and
+the observability of cancellations.
 """
 
 import gc
@@ -16,7 +18,7 @@ import weakref
 
 import pytest
 
-from repro.annealer import batched, simulated_annealing
+from repro.annealer import batched, device, simulated_annealing
 from repro.baselines.anytime import AnytimeSolver, TrajectoryRecorder
 from repro.baselines.greedy import GreedyConstructiveSolver
 from repro.exceptions import SolverCancelledError
@@ -24,6 +26,7 @@ from repro.mqo.generator import generate_paper_testcase
 from repro.mqo.problem import MQOProblem
 from repro.obs.metrics import get_registry
 from repro.obs.trace import configure_tracer, get_tracer
+from repro.qubo.model import QUBOModel
 from repro.service.frontend import ServiceFrontend
 from repro.service.portfolio import PortfolioScheduler
 from repro.service.qa_adapter import QuantumAnnealingSolver
@@ -66,6 +69,34 @@ class ScriptedSolver(AnytimeSolver):
             time.sleep(0.001)
         recorder.record(problem.solution_from_choices([1, 0]))
         return recorder.finish()
+
+
+class BudgetedSolver(AnytimeSolver):
+    """Works until its recorder's clock reaches the budget, then answers.
+
+    Like the classical members it ignores the stop token and enforces
+    its budget itself, on whatever clock its recorder runs on.
+    """
+
+    name = "BUDGETED"
+
+    def solve(self, problem, time_budget_ms, seed=None):
+        """Spin until the budget has elapsed, then record the optimum."""
+        recorder = TrajectoryRecorder(self.name)
+        while recorder.elapsed_ms() < time_budget_ms:
+            time.sleep(0.001)
+        recorder.record(problem.solution_from_choices([1, 0]))
+        return recorder.finish()
+
+
+def _slow_factory(factory, delay_ms: float):
+    """``factory`` behind a ``delay_ms`` sleep, as a slow member constructor."""
+
+    def create():
+        time.sleep(delay_ms / 1000.0)
+        return factory()
+
+    return create
 
 
 def _registry(**members) -> SolverRegistry:
@@ -164,6 +195,77 @@ class TestDeadlineRule:
         )
         assert result.cancelled == ()
         assert sorted(result.trajectories) == ["FAST", "STRAGGLER"]
+
+
+class TestRaceClock:
+    def test_a_late_member_stops_at_the_race_deadline(self):
+        # The slow factory delays the member's start by 150 ms; on its own
+        # clock it would run to 150 + 300 ms.
+        registry = SolverRegistry()
+        registry.register("BUDGETED", _slow_factory(BudgetedSolver, 150.0))
+        start = time.monotonic()
+        result = PortfolioScheduler(registry=registry).solve(_problem(), time_budget_ms=300.0)
+        elapsed_ms = (time.monotonic() - start) * 1000.0
+        assert result.winner == "BUDGETED"
+        assert 300.0 <= elapsed_ms < 400.0
+        assert 300.0 <= result.trajectories["BUDGETED"].total_time_ms < 400.0
+
+    def test_member_and_merged_timestamps_are_on_the_race_axis(self):
+        registry = SolverRegistry()
+        registry.register("LATE", _slow_factory(lambda: ScriptedSolver("LATE", 1.0, False), 100.0))
+        result = PortfolioScheduler(registry=registry).solve(_problem(), time_budget_ms=500.0)
+        member_time = result.trajectories["LATE"].points[0][0]
+        assert member_time >= 100.0
+        assert result.merged_trajectory.points == [(member_time, 2.0)]
+
+    def test_split_slices_run_on_their_own_clocks(self):
+        # Each slice's clock starts with its slice, so the second member
+        # gets a full slice although it starts after the first one.
+        registry = SolverRegistry()
+        registry.register("FIRST", lambda: ScriptedSolver("FIRST", 60.0, False))
+        registry.register("SECOND", BudgetedSolver)
+        result = PortfolioScheduler(registry=registry, mode="split").solve(
+            _problem(), time_budget_ms=200.0
+        )
+        first = result.trajectories["FIRST"].points[0][0]
+        second = result.trajectories["SECOND"].points[0][0]
+        assert 60.0 <= first < 100.0
+        assert 100.0 <= second < 150.0  # its 100 ms slice, on its own clock
+
+    def test_solo_solves_keep_their_own_clock(self):
+        solver = BudgetedSolver()
+        start = time.monotonic()
+        trajectory = solver.solve(_problem(), time_budget_ms=50.0)
+        assert (time.monotonic() - start) * 1000.0 >= 50.0
+        assert 50.0 <= trajectory.total_time_ms < 150.0
+
+
+class TestAnnealerChecks:
+    def test_a_set_token_raises_between_gauge_batches(self, monkeypatch, ideal_device):
+        token = threading.Event()
+        drawn = []
+        original = device.random_gauge
+
+        def gauge_then_fire(*args, **kwargs):
+            drawn.append(1)
+            token.set()  # fires while the first batch is being programmed
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(device, "random_gauge", gauge_then_fire)
+        qubo = QUBOModel(linear={0: -1.0, 4: 1.0}, quadratic={(0, 4): -2.0})
+        with cancel_on(token), pytest.raises(SolverCancelledError):
+            ideal_device.program_anneal(qubo, num_reads=40, num_gauges=4, seed=1)
+        assert len(drawn) == 1
+
+    def test_a_set_token_raises_before_blocks_are_compiled(self, monkeypatch):
+        compiled = []
+        monkeypatch.setattr(batched, "compile_qubo", lambda *a, **k: compiled.append(a))
+        token = threading.Event()
+        token.set()
+        qubo = QUBOModel(linear={0: -1.0, 1: 1.0}, quadratic={(0, 1): -2.0})
+        with cancel_on(token), pytest.raises(SolverCancelledError):
+            batched.BatchedAnnealer(num_sweeps=5).sample_block_states([qubo, qubo], seed=1)
+        assert compiled == []
 
 
 class TestObservability:
